@@ -3,13 +3,11 @@
 
 Each cell compares the twist-i and twist-j spheres; the four letters
 are equivalent / homotopic / concordant / isotopic, uppercase when the
-relation holds.  Use --csv for the machine-readable form the CLI's
-``table`` verb also emits.
+relation holds.  For the same table as CSV, run
+``lbkit table --range=LO:HI``.
 """
 
 import argparse
-import csv
-import sys
 
 from lbkit.homotopy import classify
 
@@ -27,22 +25,9 @@ def main():
                     help="compare all i, j with |i|, |j| <= RADIUS")
     ap.add_argument("--closed", action="store_true",
                     help="treat the ambient manifold as closed")
-    ap.add_argument("--csv", action="store_true")
     args = ap.parse_args()
 
     span = range(-args.radius, args.radius + 1)
-    if args.csv:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["i", "j", "equivalent", "homotopic",
-                         "concordant", "isotopic"])
-        for i in span:
-            for j in span:
-                r = classify(i, j, args.closed)
-                writer.writerow([i, j, int(r.equivalent), int(r.homotopic),
-                                 int(r.topologically_concordant),
-                                 int(r.smoothly_isotopic)])
-        return
-
     width = 6
     print(" " * width + "".join(f"{j:>{width}}" for j in span))
     for i in span:

@@ -12,35 +12,12 @@ import argparse
 import os
 import random
 
-from lbkit.diagrams import (
-    RED, BLUE, BicoloredLink, ColoredTangle, Crossing, LinkComponent, Slot,
-    Strand, half_twist_tangle, reverse_mirror,
-)
+from lbkit.diagrams import RED, BLUE, half_twist_tangle, reverse_mirror
 from lbkit.obstruction import (
-    ClosedCaseData, ConcordanceSlice, cap_symmetry_holds,
-    closed_case_linking, concordance_obstruction, slice_linking,
-    side_symmetry_holds,
+    ClosedCaseData, ConcordanceSlice, cap_link, cap_symmetry_holds,
+    clasped_side, closed_case_linking, concordance_obstruction,
+    slice_linking, side_symmetry_holds,
 )
-
-
-def clasped_side(color, clasps):
-    other = BLUE if color == RED else RED
-    sign = 1 if clasps >= 0 else -1
-    return ColoredTangle(
-        arcs=(Strand("t", color),),
-        closed=(Strand("u", other),),
-        crossings=tuple(Crossing("t", "u", sign)
-                        for _ in range(2 * abs(clasps))),
-        top=(Slot("t", 0, "in"),),
-        bottom=(Slot("t", 1, "out"),))
-
-
-def cap(linking):
-    sign = 1 if linking >= 0 else -1
-    return BicoloredLink(
-        components=(LinkComponent("r", RED), LinkComponent("b", BLUE)),
-        crossings=tuple(Crossing("r", "b", sign)
-                        for _ in range(2 * abs(linking))))
 
 
 def main():
@@ -72,7 +49,7 @@ def main():
                   f"plus={plus} minus={minus}")
 
         lk, wr, wb = (rng.randint(-3, 3) for _ in range(3))
-        d = ClosedCaseData(s, cap(lk), cap(lk),
+        d = ClosedCaseData(s, cap_link(lk), cap_link(lk),
                            red_winding_plus=wr, red_winding_minus=wr,
                            blue_winding_plus=wb, blue_winding_minus=wb)
         assert cap_symmetry_holds(d)

@@ -40,6 +40,7 @@ from .homotopy import (
     HomotopyTrace,
     Relation,
     classify,
+    connecting_homotopy,
     crossed_class,
     cycle_validate,
     lightbulb_check,

@@ -190,9 +190,10 @@ def cyclic_cover_link(link: AnnularLink, m: int) -> LinkCover:
         for name in lift_names[comp.id]:
             siblings = sum(total.mixed_linking(name, other)
                            for other in lift_names[comp.id] if other != name)
-            assert (m // g) * comp.framing == \
-                total.component(name).framing + siblings, \
-                f"framing identity failed for lift {name!r}"
+            if (m // g) * comp.framing != \
+                    total.component(name).framing + siblings:
+                raise DiagramError(
+                    f"framing identity failed for lift {name!r}")
 
     return LinkCover(link, m, total, tuple(cover_map), tuple(deck))
 

@@ -59,16 +59,6 @@ class IntMatrix:
     def identity(cls, n):
         return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        out = []
-        for row in self.entries:
-            out.append(tuple(
-                sum(row[k] * other.entries[k][j] for k in range(self.cols))
-                for j in range(other.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
-
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 

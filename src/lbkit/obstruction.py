@@ -7,7 +7,7 @@ tangle at the far end, and four side tangles (one per color per end)
 running along the cylinder wall.  A concordance forces that boundary
 link's red-blue linking number to be even, so an odd value obstructs.
 
-The evaluators below compute that linking number two ways and assert
+The evaluators below compute that linking number two ways and check
 they agree: globally, from the assembled link, and as the sum of a core
 term (inner and outer tangles alone) plus one closure term per side.
 For the model slices of the twist family the core works out to half the
@@ -41,7 +41,8 @@ from .diagrams import (
 __all__ = [
     "NotHomotopic",
     "ConcordanceSlice", "ClosedCaseData",
-    "trivial_side", "model_slice", "closed_model_data",
+    "trivial_side", "clasped_side", "cap_link",
+    "model_slice", "closed_model_data",
     "assemble_link", "closure_of_side", "side_linking",
     "slice_linking", "closed_case_linking",
     "side_symmetry_holds", "cap_symmetry_holds",
@@ -126,6 +127,34 @@ def trivial_side(color: str) -> ColoredTangle:
         top=(Slot("t", 0, "in"),),
         bottom=(Slot("t", 1, "out"),),
     )
+
+
+def clasped_side(color: str, clasps: int = 0,
+                 plain_extras: int = 0) -> ColoredTangle:
+    """A through-arc clasped ``clasps`` times with one closed component of
+    the opposite color (closure linking ``clasps``), plus
+    ``plain_extras`` unlinked closed components of its own color."""
+    other = BLUE if color == RED else RED
+    sign = 1 if clasps >= 0 else -1
+    closed = (Strand("u", other),) + tuple(
+        Strand(f"e{k}", color) for k in range(plain_extras))
+    return ColoredTangle(
+        arcs=(Strand("t", color),),
+        closed=closed,
+        crossings=tuple(Crossing("t", "u", sign)
+                        for _ in range(2 * abs(clasps))),
+        top=(Slot("t", 0, "in"),),
+        bottom=(Slot("t", 1, "out"),),
+    )
+
+
+def cap_link(linking: int) -> BicoloredLink:
+    """A red/blue cap link with red-blue linking number ``linking``."""
+    sign = 1 if linking >= 0 else -1
+    return BicoloredLink(
+        components=(LinkComponent("r", RED), LinkComponent("b", BLUE)),
+        crossings=tuple(Crossing("r", "b", sign)
+                        for _ in range(2 * abs(linking))))
 
 
 def model_slice(i: int, j: int) -> ConcordanceSlice:
@@ -223,8 +252,9 @@ def slice_linking(s: ConcordanceSlice) -> int:
     because regions never share crossings.
     """
     value = _core_linking(s) + sum(side_linking(t) for t in s._sides())
-    assert value == bicolored_linking(assemble_link(s)), \
-        "side decomposition disagrees with the assembled link"
+    if value != bicolored_linking(assemble_link(s)):
+        raise DiagramError(
+            "side decomposition disagrees with the assembled link")
     return value
 
 

@@ -30,12 +30,12 @@ from lbkit.kirby import (
     handle_slide,
 )
 from lbkit.obstruction import (
-    ClosedCaseData, NotHomotopic, assemble_link,
+    ClosedCaseData, NotHomotopic, assemble_link, cap_link,
     cap_symmetry_holds, closed_case_linking, concordance_obstruction,
     model_slice, side_symmetry_holds, slice_linking,
 )
 
-from test_obstruction import cap_link, decorated_slice
+from test_obstruction import decorated_slice
 
 Z2 = AbelianGroup(0, (2,))
 

@@ -5,18 +5,19 @@ from lbkit.homology import AbelianGroup
 from lbkit.homotopy import (
     CrossedClass, Cycle, FingerMove, GroupMismatch, HomotopyTrace,
     InvalidTrace, Relation, WhitneyMove,
-    classify, concat, crossed_class, cycle_validate, empty_trace,
-    lightbulb_check, twist_homotopy,
+    classify, concat, connecting_homotopy, crossed_class, cycle_validate,
+    empty_trace, lightbulb_check, twist_homotopy,
 )
+from lbkit.obstruction import NotHomotopic
 
 Z2 = AbelianGroup(0, (2,))
 Z4 = AbelianGroup(0, (4,))
 
 
-def k_fold(k):
+def k_fold(k, start=0):
     trace = empty_trace(Z2)
     for n in range(k):
-        trace = concat(trace, twist_homotopy(2 * n))
+        trace = concat(trace, twist_homotopy(start + 2 * n))
     return trace
 
 
@@ -42,6 +43,20 @@ class TestTraces:
         assert t.finger_count == a + b
         assert t.whitney_count == a + b
         assert len(t.cycles) == a + b
+
+    @pytest.mark.parametrize("start", (-7, -2, 0, 3, 10))
+    def test_connecting_homotopy_is_the_k_fold(self, start):
+        for k in range(9):
+            t = connecting_homotopy(start, start + 2 * k)
+            assert t == k_fold(k, start), (start, k)
+            assert t == connecting_homotopy(start + 2 * k, start)
+
+    def test_connecting_homotopy_needs_even_difference(self):
+        msg = ("twist counts 3 and 0 are not homotopic, "
+               "no connecting homotopy exists")
+        with pytest.raises(NotHomotopic) as err:
+            connecting_homotopy(3, 0)
+        assert str(err.value) == msg
 
     def test_concat_rejects_group_mismatch(self):
         with pytest.raises(GroupMismatch):

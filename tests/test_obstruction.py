@@ -3,33 +3,16 @@ from hypothesis import given, strategies as st
 
 from lbkit.diagrams import (
     RED, BLUE, BicoloredLink, ColorMismatch, ColoredTangle, Crossing,
-    DiagramError, LinkComponent, Slot, Strand,
+    DiagramError, Slot, Strand,
     empty_tangle, half_twist_tangle, reverse_mirror, swap_colors,
 )
 from lbkit.obstruction import (
     ClosedCaseData, ConcordanceSlice, NotHomotopic,
-    assemble_link, cap_symmetry_holds, closed_case_linking,
-    closed_model_data, closure_of_side, concordance_obstruction,
-    model_slice, side_linking, side_symmetry_holds, slice_linking,
-    trivial_side,
+    assemble_link, cap_link, cap_symmetry_holds, clasped_side,
+    closed_case_linking, closed_model_data, closure_of_side,
+    concordance_obstruction, model_slice, side_linking,
+    side_symmetry_holds, slice_linking, trivial_side,
 )
-
-
-def decorated_side(color, clasped=0, plain_extras=0):
-    """A through-arc plus one closed component of the opposite color,
-    clasped `clasped` times, plus optional same-color closed unknots."""
-    other = BLUE if color == RED else RED
-    sign = 1 if clasped >= 0 else -1
-    closed = (Strand("u", other),) + tuple(
-        Strand(f"e{k}", color) for k in range(plain_extras))
-    return ColoredTangle(
-        arcs=(Strand("t", color),),
-        closed=closed,
-        crossings=tuple(Crossing("t", "u", sign)
-                        for _ in range(2 * abs(clasped))),
-        top=(Slot("t", 0, "in"),),
-        bottom=(Slot("t", 1, "out"),),
-    )
 
 
 def decorated_slice(i, j, plus=0, minus=0, symmetric=True):
@@ -38,19 +21,11 @@ def decorated_slice(i, j, plus=0, minus=0, symmetric=True):
     return ConcordanceSlice(
         inner=half_twist_tangle(i, (RED, BLUE)),
         outer=reverse_mirror(half_twist_tangle(j, (RED, BLUE))),
-        side_plus_red=decorated_side(RED, plus),
-        side_plus_blue=decorated_side(BLUE, plus if symmetric else 0),
-        side_minus_red=decorated_side(RED, minus),
-        side_minus_blue=decorated_side(BLUE, minus if symmetric else 0),
+        side_plus_red=clasped_side(RED, plus),
+        side_plus_blue=clasped_side(BLUE, plus if symmetric else 0),
+        side_minus_red=clasped_side(RED, minus),
+        side_minus_blue=clasped_side(BLUE, minus if symmetric else 0),
     )
-
-
-def cap_link(linking):
-    sign = 1 if linking >= 0 else -1
-    return BicoloredLink(
-        components=(LinkComponent("r", RED), LinkComponent("b", BLUE)),
-        crossings=tuple(Crossing("r", "b", sign)
-                        for _ in range(2 * abs(linking))))
 
 
 class TestSides:
@@ -62,11 +37,11 @@ class TestSides:
 
     @given(st.integers(-3, 3))
     def test_clasped_side_linking(self, k):
-        assert side_linking(decorated_side(RED, k)) == k
-        assert side_linking(decorated_side(BLUE, k)) == k
+        assert side_linking(clasped_side(RED, k)) == k
+        assert side_linking(clasped_side(BLUE, k)) == k
 
     def test_same_color_extras_do_not_link(self):
-        t = decorated_side(RED, 0, plain_extras=2)
+        t = clasped_side(RED, 0, plain_extras=2)
         assert side_linking(t) == 0
         assert len(closure_of_side(t).components) == 4
 
@@ -88,7 +63,7 @@ class TestSides:
         assert side_symmetry_holds(model_slice(0, 0))
 
     def test_blue_side_as_color_swap_of_red(self):
-        red = decorated_side(RED, 2)
+        red = clasped_side(RED, 2)
         blue = swap_colors(red)
         assert side_linking(blue) == side_linking(red)
 
@@ -153,6 +128,17 @@ class TestAssembly:
         # core 1 plus side closures 1 + 1 + 0 + 0
         s = decorated_slice(2, 0, plus=1)
         assert slice_linking(s) == 3
+
+    def test_decomposition_mismatch_is_a_diagram_error(self, monkeypatch):
+        def one_clasp_more(s):
+            # two same-sign red-blue crossings: linking moves by one
+            link = assemble_link(s)
+            extra = (Crossing(RED, BLUE, 1),) * 2
+            return BicoloredLink(link.components, link.crossings + extra)
+
+        monkeypatch.setattr("lbkit.obstruction.assemble_link", one_clasp_more)
+        with pytest.raises(DiagramError, match="side decomposition"):
+            slice_linking(model_slice(2, 0))
 
 
 class TestClosedCase:
