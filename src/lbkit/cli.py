@@ -24,12 +24,10 @@ from .homology import boundary_h1, h1
 from .homotopy import classify, concat, connecting_homotopy, crossed_class  # noqa: F401
 from .kirby import KirbyDiagram, build_diagram, double, handle_slide
 from .obstruction import (
+    _model_obstruction,
     cap_symmetry_holds,
     closed_model_data,
-    concordance_obstruction,
-    model_slice,
     side_symmetry_holds,
-    slice_linking,
 )
 from .render import render as render_any
 from .serialize import (
@@ -152,11 +150,10 @@ def _cmd_table(args) -> str:
 
 
 def _cmd_obstruct(args) -> str:
-    parity = concordance_obstruction(args.i, args.j, args.closed)
-    s = model_slice(args.i, args.j)
+    s, lk, parity = _model_obstruction(args.i, args.j, args.closed)
     return dumps({
         "parity": parity,
-        "lk_L": slice_linking(s),
+        "lk_L": lk,
         "claim1": side_symmetry_holds(s),
         "claim2": cap_symmetry_holds(closed_model_data(s)),
     })

@@ -370,23 +370,46 @@ def half_twist_tangle(n: int, colors=(None, None)) -> ColoredTangle:
     The arcs enter at the top and leave at the bottom; an odd number of
     half twists swaps which arc exits where.  Colors default to none so
     the same constructor serves both plain sphere slices and their
-    red/blue lifts.
+    red/blue lifts.  The half twists alternate between two crossings, and
+    the crossing tuple repeats those two shared immutable instances
+    rather than holding |n| copies.
     """
     ca, cb = colors
     arcs = (Strand("a", ca), Strand("b", cb))
-    crossings = []
-    for t in range(abs(n)):
-        left, right = ("a", "b") if t % 2 == 0 else ("b", "a")
-        if n > 0:
-            crossings.append(Crossing(left, right, 1))
-        else:
-            crossings.append(Crossing(right, left, -1))
+    if n > 0:
+        pair = (Crossing("a", "b", 1), Crossing("b", "a", 1))
+    else:
+        pair = (Crossing("b", "a", -1), Crossing("a", "b", -1))
+    k = abs(n)
+    crossings = pair * (k // 2) + pair[:k % 2]
     top = (Slot("a", 0, _IN), Slot("b", 0, _IN))
     if n % 2 == 0:
         bottom = (Slot("a", 1, _OUT), Slot("b", 1, _OUT))
     else:
         bottom = (Slot("b", 1, _OUT), Slot("a", 1, _OUT))
-    return ColoredTangle(arcs, (), tuple(crossings), top, bottom)
+    return ColoredTangle(arcs, (), crossings, top, bottom)
+
+
+def _map_crossings(crossings, image) -> tuple:
+    """``tuple(image(c) for c in crossings)``, calling ``image`` once per
+    distinct crossing instance.
+
+    Crossings are immutable, so positions may share one instance
+    (``half_twist_tangle`` builds only two); the result shares its
+    instances the same way.  ``image`` must depend only on the crossing.
+    """
+    images = {}
+    out = []
+    for c in crossings:
+        new = images.get(id(c))
+        if new is None:
+            new = images[id(c)] = image(c)
+        out.append(new)
+    return tuple(out)
+
+
+def _flip(c: Crossing) -> Crossing:
+    return Crossing(c.under, c.over, -c.sign)
 
 
 def reverse_mirror(t: ColoredTangle) -> ColoredTangle:
@@ -394,13 +417,15 @@ def reverse_mirror(t: ColoredTangle) -> ColoredTangle:
 
     This is the end-swap a product region induces on its far wall:
     reverse_mirror(half_twist_tangle(n)) has the crossing list of
-    half_twist_tangle(-n).
+    half_twist_tangle(-n).  Each distinct crossing instance of ``t`` is
+    flipped once, so the result shares its immutable crossings the way
+    ``t`` does.
     """
-    crossings = tuple(Crossing(c.under, c.over, -c.sign) for c in t.crossings)
     flip = {_IN: _OUT, _OUT: _IN}
     top = tuple(Slot(s.arc, s.end, flip[s.orientation]) for s in t.top)
     bottom = tuple(Slot(s.arc, s.end, flip[s.orientation]) for s in t.bottom)
-    return ColoredTangle(t.arcs, t.closed, crossings, top, bottom)
+    return ColoredTangle(t.arcs, t.closed, _map_crossings(t.crossings, _flip),
+                         top, bottom)
 
 
 class _Merge:
@@ -588,8 +613,7 @@ def bicolored_linking(link: BicoloredLink) -> int:
 
 def mirror_image(d):
     """Flip every crossing of a tangle or link."""
-    crossings = tuple(Crossing(c.under, c.over, -c.sign) for c in d.crossings)
-    return replace(d, crossings=crossings)
+    return replace(d, crossings=_map_crossings(d.crossings, _flip))
 
 
 def swap_colors(d):

@@ -19,6 +19,7 @@ from non-concordance.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .covers import lift_wiring
@@ -157,15 +158,14 @@ def connecting_homotopy(i: int, j: int) -> HomotopyTrace:
 
 def cycle_validate(t: HomotopyTrace) -> bool:
     """Counting checks: minima pair with finger moves, maxima with
-    Whitney moves, and crossed cycles carry order <= 2 elements."""
+    Whitney moves, and crossed cycles carry order <= 2 elements (each
+    distinct element is checked once, in order of first appearance)."""
     if sum(c.minima for c in t.cycles) != 2 * t.finger_count:
         return False
     if sum(c.maxima for c in t.cycles) != 2 * t.whitney_count:
         return False
-    for c in t.cycles:
-        if not c.crossed:
-            continue
-        order = t.group.order(c.element)
+    for element in dict.fromkeys(c.element for c in t.cycles if c.crossed):
+        order = t.group.order(element)
         if order is None or order > 2:
             return False
     return True
@@ -212,14 +212,15 @@ class CrossedClass:
 
 def crossed_class(t: HomotopyTrace) -> CrossedClass:
     """The Z/2 class of a trace: uncrossed cycles are ignored, crossed
-    cycles on the trivial element contribute to no key."""
+    cycles on the trivial element contribute to no key.  The class is
+    additive, so crossed cycles are counted per element carried and each
+    distinct element is reduced once."""
     counts = {el: 0 for el in t.group.elements_of_order_two()}
-    for c in t.cycles:
-        if not c.crossed:
-            continue
-        el = t.group.reduce(c.element)
+    crossed = Counter(c.element for c in t.cycles if c.crossed)
+    for element, n in crossed.items():
+        el = t.group.reduce(element)
         if el in counts:
-            counts[el] += 1
+            counts[el] += n
     return CrossedClass(
         t.group, tuple((el, n % 2) for el, n in sorted(counts.items())))
 

@@ -33,6 +33,7 @@ from .diagrams import (
     LinkComponent,
     Slot,
     Strand,
+    _map_crossings,
     bicolored_linking,
     half_twist_tangle,
     reverse_mirror,
@@ -200,7 +201,7 @@ def side_linking(t: ColoredTangle) -> int:
 def _merge_regions(regions) -> BicoloredLink:
     """Merge tangles into one closed diagram: arcs fuse into one
     component per color, closed components are kept with region-prefixed
-    ids."""
+    ids.  Each distinct crossing instance of a region is renamed once."""
     components = []
     present = set()
     for _, tangle in regions:
@@ -219,9 +220,10 @@ def _merge_regions(regions) -> BicoloredLink:
             components.append(LinkComponent(new, s.color))
     crossings = []
     for label, tangle in regions:
-        for c in tangle.crossings:
-            crossings.append(Crossing(
-                rename[(label, c.over)], rename[(label, c.under)], c.sign))
+        def image(c, label=label):
+            return Crossing(rename[(label, c.over)], rename[(label, c.under)],
+                            c.sign)
+        crossings.extend(_map_crossings(tangle.crossings, image))
     return BicoloredLink(tuple(components), tuple(crossings))
 
 
@@ -299,14 +301,33 @@ def cap_symmetry_holds(d: ClosedCaseData) -> bool:
             and d.blue_winding_plus == d.blue_winding_minus)
 
 
+def _closed_extras(d: ClosedCaseData) -> int:
+    """The closed-case terms beyond the slice value: both cap linkings
+    and all four winding counts."""
+    windings = (d.red_winding_plus + d.red_winding_minus
+                + d.blue_winding_plus + d.blue_winding_minus)
+    return windings + bicolored_linking(d.cap_plus) + bicolored_linking(d.cap_minus)
+
+
 def closed_case_linking(d: ClosedCaseData) -> int:
     """Boundary-link linking in the closed case: the slice value plus
     cap linkings plus all four winding counts.  Degenerates to
     slice_linking when the extras vanish."""
-    windings = (d.red_winding_plus + d.red_winding_minus
-                + d.blue_winding_plus + d.blue_winding_minus)
-    return (slice_linking(d.slice) + windings
-            + bicolored_linking(d.cap_plus) + bicolored_linking(d.cap_minus))
+    return slice_linking(d.slice) + _closed_extras(d)
+
+
+def _model_obstruction(i: int, j: int, closed: bool):
+    """The model slice between the twist-i and twist-j spheres, its
+    boundary-link linking ``lk_L`` and the obstruction parity, each
+    computed once.  Raises NotHomotopic for an odd difference."""
+    if (i - j) % 2:
+        raise NotHomotopic(
+            f"twist counts {i} and {j} differ in parity; the spheres are "
+            "not homotopic and no slice connects them")
+    s = model_slice(i, j)
+    lk = slice_linking(s)
+    value = lk + _closed_extras(closed_model_data(s)) if closed else lk
+    return s, lk, value % 2
 
 
 def concordance_obstruction(i: int, j: int, closed: bool = False) -> int:
@@ -316,13 +337,4 @@ def concordance_obstruction(i: int, j: int, closed: bool = False) -> int:
     parity: 1 obstructs any concordance, 0 is consistent with one.  The
     value works out to ((i - j) / 2) mod 2.
     """
-    if (i - j) % 2:
-        raise NotHomotopic(
-            f"twist counts {i} and {j} differ in parity; the spheres are "
-            "not homotopic and no slice connects them")
-    s = model_slice(i, j)
-    if closed:
-        value = closed_case_linking(closed_model_data(s))
-    else:
-        value = slice_linking(s)
-    return value % 2
+    return _model_obstruction(i, j, closed)[2]

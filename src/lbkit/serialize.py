@@ -223,6 +223,8 @@ def load_diagram(text: str):
         obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise FormatError(f"not valid JSON: {err}") from None
+    except RecursionError:
+        raise FormatError("JSON is nested too deeply to decode") from None
     if not isinstance(obj, dict):
         raise FormatError("a diagram file must hold a JSON object")
     if "dotted" in obj:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,17 +7,46 @@ from lbkit.diagrams import (
     RED, BLUE, PURPLE,
     DiagramError, ColorMismatch, BadSite,
     BraidWord, AnnularComponent, AnnularLink,
-    Strand, Crossing, ColoredTangle, LinkComponent, BicoloredLink,
+    Strand, Crossing, Slot, ColoredTangle, LinkComponent, BicoloredLink,
     components_and_windings, braid_closure, braid_closure_link,
     normalize_to_writhe, half_twist_tangle, empty_tangle, reverse_mirror,
     close_tangle, stack_tangles, bicolored_linking, mirror_image,
     swap_colors, reidemeister,
 )
+from lbkit.obstruction import clasped_side
 
 from strategies import braid_words
 
 
 FAMILY_WORD = BraidWord(4, ((1, -1), (3, 1)))
+
+
+def reference_half_twist_tangle(n, colors=(None, None)):
+    """The per-crossing construction: one new Crossing per half twist."""
+    ca, cb = colors
+    crossings = []
+    for t in range(abs(n)):
+        left, right = ("a", "b") if t % 2 == 0 else ("b", "a")
+        if n > 0:
+            crossings.append(Crossing(left, right, 1))
+        else:
+            crossings.append(Crossing(right, left, -1))
+    top = (Slot("a", 0, "in"), Slot("b", 0, "in"))
+    if n % 2 == 0:
+        bottom = (Slot("a", 1, "out"), Slot("b", 1, "out"))
+    else:
+        bottom = (Slot("b", 1, "out"), Slot("a", 1, "out"))
+    return ColoredTangle((Strand("a", ca), Strand("b", cb)), (),
+                         tuple(crossings), top, bottom)
+
+
+def reference_reverse_mirror(t):
+    """The per-crossing construction: one new Crossing per crossing."""
+    crossings = tuple(Crossing(c.under, c.over, -c.sign) for c in t.crossings)
+    flip = {"in": "out", "out": "in"}
+    top = tuple(Slot(s.arc, s.end, flip[s.orientation]) for s in t.top)
+    bottom = tuple(Slot(s.arc, s.end, flip[s.orientation]) for s in t.bottom)
+    return ColoredTangle(t.arcs, t.closed, crossings, top, bottom)
 
 
 def compose(perm, other):
@@ -130,6 +161,30 @@ class TestHalfTwistTangle:
 
     def test_empty_tangle_is_empty(self):
         assert empty_tangle() == ColoredTangle()
+
+    @pytest.mark.parametrize("colors", ((None, None), (RED, BLUE)))
+    def test_shared_crossings_match_the_per_crossing_reference(self, colors):
+        for n in range(-9, 10):
+            t = half_twist_tangle(n, colors)
+            assert t == reference_half_twist_tangle(n, colors), n
+            assert len({id(c) for c in t.crossings}) == min(abs(n), 2)
+            mirrored = reverse_mirror(t)
+            assert mirrored == reference_reverse_mirror(t), n
+            assert len({id(c) for c in mirrored.crossings}) == min(abs(n), 2)
+            assert mirror_image(t).crossings == mirrored.crossings
+
+    @pytest.mark.parametrize("clasps", (-3, -1, 2))
+    def test_reverse_mirror_of_clasped_regions_matches_the_reference(self, clasps):
+        # clasped sides hold equal but separate crossing instances; mixing
+        # them with a shared twist pair gives several distinct instances
+        for t in (clasped_side(RED, clasps, plain_extras=1),
+                  clasped_side(BLUE, clasps)):
+            assert reverse_mirror(t) == reference_reverse_mirror(t)
+        twist = half_twist_tangle(5, (RED, BLUE))
+        mixed = replace(twist, crossings=twist.crossings
+                        + (Crossing("b", "a", 1), Crossing("a", "b", -1))
+                        + twist.crossings[:3])
+        assert reverse_mirror(mixed) == reference_reverse_mirror(mixed)
 
 
 class TestStacking:

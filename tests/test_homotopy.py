@@ -12,6 +12,50 @@ from lbkit.obstruction import NotHomotopic
 
 Z2 = AbelianGroup(0, (2,))
 Z4 = AbelianGroup(0, (4,))
+Z2Z4 = AbelianGroup(0, (2, 4))
+
+
+def reference_validate(t):
+    """The per-cycle checks: one order computation per crossed cycle."""
+    if sum(c.minima for c in t.cycles) != 2 * t.finger_count:
+        return False
+    if sum(c.maxima for c in t.cycles) != 2 * t.whitney_count:
+        return False
+    for c in t.cycles:
+        if c.crossed:
+            order = t.group.order(c.element)
+            if order is None or order > 2:
+                return False
+    return True
+
+
+def reference_class(t):
+    """The per-cycle count: one reduction per crossed cycle."""
+    counts = {el: 0 for el in t.group.elements_of_order_two()}
+    for c in t.cycles:
+        if c.crossed:
+            el = t.group.reduce(c.element)
+            if el in counts:
+                counts[el] += 1
+    return CrossedClass(t.group, tuple(sorted(counts.items())))
+
+
+@st.composite
+def z2z4_traces(draw):
+    """Traces over Z/2 + Z/4 drawn from a small pool of representatives, so
+    elements repeat, some are order 4, and some are unreduced."""
+    elements = st.sampled_from(((0, 0), (1, 0), (0, 2), (1, 2), (3, -2),
+                                (0, 1), (1, 3), (0, -1), (2, 4)))
+    cycles = draw(st.lists(st.builds(Cycle, st.booleans(), elements,
+                                     st.integers(0, 2), st.integers(0, 2)),
+                           max_size=12))
+    # the move counts the extrema ask for, sometimes one finger move off
+    off = draw(st.sampled_from((0, 0, 1, -1)))
+    fingers = sum(c.minima for c in cycles) // 2 + off
+    whitneys = sum(c.maxima for c in cycles) // 2
+    moves = ((FingerMove((1, 0)),) * max(fingers, 0)
+             + (WhitneyMove((0, 2)),) * whitneys)
+    return HomotopyTrace(Z2Z4, moves, tuple(cycles))
 
 
 def k_fold(k, start=0):
@@ -93,6 +137,28 @@ class TestCycleValidation:
             Z2, moves=(FingerMove((1,)), WhitneyMove((1,))),
             cycles=(Cycle(False, (0,), 2, 0), Cycle(False, (0,), 0, 2)))
         assert cycle_validate(t)
+
+
+class TestPerElementChecks:
+    @given(z2z4_traces())
+    def test_trace_checks_match_the_per_cycle_reference(self, t):
+        assert cycle_validate(t) == reference_validate(t)
+        assert crossed_class(t) == reference_class(t)
+
+    @given(z2z4_traces())
+    def test_crossed_order_four_elements_fail_validation(self, t):
+        if any(c.crossed and Z2Z4.order(c.element) == 4 for c in t.cycles):
+            assert not cycle_validate(t)
+
+    def test_repeated_elements_count_once_each(self):
+        cycles = (Cycle(True, (1, 2), 0, 0),) * 3 + (
+            Cycle(True, (3, -2), 0, 0), Cycle(False, (1, 0), 0, 0),
+            Cycle(True, (0, 2), 0, 0))
+        t = HomotopyTrace(Z2Z4, cycles=cycles)
+        assert cycle_validate(t)
+        c = crossed_class(t)
+        assert (c.of((1, 2)), c.of((0, 2)), c.of((1, 0))) == (0, 1, 0)
+        assert c == reference_class(t)
 
 
 class TestCrossedClass:

@@ -126,6 +126,14 @@ class TestCli:
         assert code == 0
         assert json.loads(out) == {"free_rank": 0, "torsion": [2, 2]}
 
+    def test_deeply_nested_json_is_a_format_error(self, capsys, monkeypatch):
+        depth = 100_000
+        monkeypatch.setattr(sys, "stdin", io.StringIO("[" * depth + "]" * depth))
+        code, out, err = run_cli(capsys, "homology", "-")
+        assert code == 1
+        assert "nested too deeply" in json.loads(out)["error"]
+        assert err == ""
+
     def test_input_and_parameters_conflict(self, capsys, tmp_path):
         path = tmp_path / "d.json"
         path.write_text(dumps(kirby_to_obj(build_diagram(0, 0))))

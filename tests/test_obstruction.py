@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
+import lbkit
 from lbkit.diagrams import (
     RED, BLUE, BicoloredLink, ColorMismatch, ColoredTangle, Crossing,
-    DiagramError, Slot, Strand,
-    empty_tangle, half_twist_tangle, reverse_mirror, swap_colors,
+    DiagramError, LinkComponent, Slot, Strand,
+    bicolored_linking, empty_tangle, half_twist_tangle, reverse_mirror,
+    swap_colors,
 )
+from lbkit.homotopy import classify
 from lbkit.obstruction import (
     ClosedCaseData, ConcordanceSlice, NotHomotopic,
     assemble_link, cap_link, cap_symmetry_holds, clasped_side,
@@ -26,6 +33,50 @@ def decorated_slice(i, j, plus=0, minus=0, symmetric=True):
         side_minus_red=clasped_side(RED, minus),
         side_minus_blue=clasped_side(BLUE, minus if symmetric else 0),
     )
+
+
+# Run in a fresh interpreter, with and without -O: the side-decomposition
+# check must still raise, and the classifier must give the same verdicts.
+OPTIMIZED_PROBE = """
+from lbkit import obstruction
+from lbkit.diagrams import BLUE, RED, BicoloredLink, Crossing, DiagramError
+from lbkit.homotopy import classify
+
+print("debug", __debug__)
+real = obstruction.assemble_link
+def one_clasp_more(s):
+    link = real(s)
+    return BicoloredLink(link.components,
+                         link.crossings + (Crossing(RED, BLUE, 1),) * 2)
+obstruction.assemble_link = one_clasp_more
+try:
+    obstruction.slice_linking(obstruction.model_slice(2, 0))
+    print("side: no error")
+except DiagramError as err:
+    print("side:", err)
+obstruction.assemble_link = real
+print(repr(classify(-400, 400)))
+print(repr(classify(-400, 400, True)))
+"""
+
+
+def reference_assemble_link(s):
+    """The per-crossing merge: one new Crossing per region crossing."""
+    regions = [("inner", s.inner), ("outer", s.outer)]
+    regions += list(zip(("side+r", "side+b", "side-r", "side-b"), s._sides()))
+    present = {arc.color for _, tangle in regions for arc in tangle.arcs}
+    components = [LinkComponent(color, color) for color in (RED, BLUE)
+                  if color in present]
+    rename = {}
+    for label, tangle in regions:
+        for arc in tangle.arcs:
+            rename[(label, arc.id)] = arc.color
+        for strand in tangle.closed:
+            rename[(label, strand.id)] = f"{label}.{strand.id}"
+            components.append(LinkComponent(f"{label}.{strand.id}", strand.color))
+    crossings = [Crossing(rename[(label, c.over)], rename[(label, c.under)], c.sign)
+                 for label, tangle in regions for c in tangle.crossings]
+    return BicoloredLink(tuple(components), tuple(crossings))
 
 
 class TestSides:
@@ -115,6 +166,22 @@ class TestAssembly:
         link = assemble_link(model_slice(2, 0))
         assert sorted(c.color for c in link.components) == [BLUE, RED]
 
+    @given(st.integers(-9, 9), st.integers(-4, 4),
+           st.sampled_from((-3, -1, 1, 2)), st.sampled_from((-2, 1, 3)),
+           st.booleans())
+    def test_assembly_matches_the_per_crossing_reference(self, i, k, plus,
+                                                         minus, symmetric):
+        s = decorated_slice(i, i + 2 * k, plus, minus, symmetric)
+        link = assemble_link(s)
+        assert link == reference_assemble_link(s)
+        assert bicolored_linking(link) == \
+            bicolored_linking(reference_assemble_link(s))
+
+    def test_model_assembly_shares_one_crossing_per_kind(self):
+        link = assemble_link(model_slice(-9, 9))
+        assert len(link.crossings) == 18
+        assert len({id(c) for c in link.crossings}) == 4
+
     def test_closed_decorations_come_along(self):
         link = assemble_link(decorated_slice(0, 0, plus=1))
         assert len(link.components) == 2 + 4
@@ -139,6 +206,24 @@ class TestAssembly:
         monkeypatch.setattr("lbkit.obstruction.assemble_link", one_clasp_more)
         with pytest.raises(DiagramError, match="side decomposition"):
             slice_linking(model_slice(2, 0))
+
+    def test_checks_and_verdicts_survive_python_O(self):
+        # -O strips assert statements; the library's checks must not be one
+        src = os.path.dirname(os.path.dirname(lbkit.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        outs = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run([sys.executable, *flags, "-c", OPTIMIZED_PROBE],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout.splitlines())
+        plain, optimized = outs
+        assert (plain[0], optimized[0]) == ("debug True", "debug False")
+        assert optimized[1] == ("side: side decomposition disagrees with "
+                                "the assembled link")
+        assert optimized[1:] == plain[1:]
+        assert optimized[2:] == [repr(classify(-400, 400)),
+                                 repr(classify(-400, 400, True))]
 
 
 class TestClosedCase:
