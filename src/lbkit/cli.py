@@ -2,7 +2,9 @@
 
 One verb per operation; results are printed as interchange JSON (or CSV
 for ``table``, plain text/SVG for ``render``).  Domain errors print an
-``{"error": ...}`` object and exit 1; usage errors exit 2 via argparse.
+``{"error": ...}`` object and exit 1, as do values past the ``MAX_*``
+bounds below and a failed ``--out`` write; usage errors exit 2 via
+argparse.  Each call builds the parser of its own verb only.
 
 Verbs that consume a diagram accept either a JSON file (``-`` for
 stdin) or ``--p``/``--q`` to build the standard family diagram inline.
@@ -44,15 +46,34 @@ __all__ = ["main"]
 
 _TABLE_HEADER = ["i", "j", "equivalent", "homotopic", "concordant", "isotopic"]
 
+# Largest values the CLI accepts, checked before anything is built:
+# |--i| and |--j| of classify, obstruct and homotopy-class (tangles and
+# traces grow linearly in them), |LO| and |HI| of table --range (the
+# table classifies every pair in the square), and cover --degree (the
+# covering word is the base word repeated that many times).
+MAX_TWIST = 10_000
+MAX_TABLE_TWIST = 100
+MAX_COVER_DEGREE = 1024
+
 
 def _range_type(text: str):
     parts = text.split(":")
     if len(parts) != 2:
-        raise ValueError("expected LO:HI")
-    lo, hi = int(parts[0]), int(parts[1])
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
+    try:
+        lo, hi = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected integers LO:HI, got {text!r}") from None
     if lo > hi:
-        raise ValueError("range is empty")
+        raise argparse.ArgumentTypeError(f"range is empty: {text!r}")
     return lo, hi
+
+
+def _check_bound(name: str, value: int, limit: int) -> None:
+    if abs(value) > limit:
+        raise ValueError(f"{name} must be between {-limit} and {limit}, "
+                         f"got {value}")
 
 
 def _add_out(sp) -> None:
@@ -72,6 +93,11 @@ def _add_pair(sp) -> None:
                     help="twist count of the first sphere")
     sp.add_argument("--j", type=int, required=True,
                     help="twist count of the second sphere")
+
+
+def _check_pair(args) -> None:
+    _check_bound("--i", args.i, MAX_TWIST)
+    _check_bound("--j", args.j, MAX_TWIST)
 
 
 def _load_source(args):
@@ -112,6 +138,9 @@ def _cmd_boundary(args) -> str:
 
 
 def _cmd_cover(args) -> str:
+    if args.degree > MAX_COVER_DEGREE:
+        raise ValueError(f"--degree must be at most {MAX_COVER_DEGREE}, "
+                         f"got {args.degree}")
     obj = _load_source(args)
     if isinstance(obj, AnnularLink):
         return dumps(cover_to_obj(cyclic_cover_link(obj, args.degree)))
@@ -132,11 +161,14 @@ def _cmd_slide(args) -> str:
 
 
 def _cmd_classify(args) -> str:
+    _check_pair(args)
     return dumps(relation_to_obj(classify(args.i, args.j, args.closed)))
 
 
 def _cmd_table(args) -> str:
     lo, hi = args.range
+    _check_bound("--range endpoints", lo, MAX_TABLE_TWIST)
+    _check_bound("--range endpoints", hi, MAX_TABLE_TWIST)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_TABLE_HEADER)
@@ -150,6 +182,7 @@ def _cmd_table(args) -> str:
 
 
 def _cmd_obstruct(args) -> str:
+    _check_pair(args)
     s, lk, parity = _model_obstruction(args.i, args.j, args.closed)
     return dumps({
         "parity": parity,
@@ -160,6 +193,7 @@ def _cmd_obstruct(args) -> str:
 
 
 def _cmd_homotopy_class(args) -> str:
+    _check_pair(args)
     trace = connecting_homotopy(args.i, args.j)
     return dumps(crossed_class_to_obj(crossed_class(trace)))
 
@@ -169,38 +203,21 @@ def _cmd_render(args) -> str:
 
 
 # --------------------------------------------------------------------------
+# verb arguments, each added after --out
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lbkit",
-        description="Handle diagrams, covers, and the twisted-sphere "
-                    "classifier.")
-    sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
-
-    def verb(name, handler, help_text):
-        sp = sub.add_parser(name, help=help_text)
-        sp.set_defaults(func=handler, parser=sp)
-        _add_out(sp)
-        return sp
-
-    sp = verb("build", _cmd_build, "build the family handle diagram")
+def _args_build(sp) -> None:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
 
-    _add_source(verb("homology", _cmd_homology,
-                     "first homology of the four-manifold"))
-    _add_source(verb("boundary", _cmd_boundary,
-                     "first homology of the boundary three-manifold"))
 
-    sp = verb("cover", _cmd_cover, "cyclic cover of a diagram")
+def _args_cover(sp) -> None:
     _add_source(sp)
     sp.add_argument("--degree", type=int, default=2,
                     help="covering degree (default 2)")
 
-    _add_source(verb("double", _cmd_double, "double of the four-manifold"))
 
-    sp = verb("slide", _cmd_slide, "slide one two-handle over another")
+def _args_slide(sp) -> None:
     _add_source(sp)
     sp.add_argument("--a", required=True, metavar="ID",
                     help="handle being slid")
@@ -209,44 +226,87 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=int, required=True, choices=(-1, 1),
                     help="slide sign")
 
-    sp = verb("classify", _cmd_classify,
-              "compare the twist-i and twist-j spheres")
+
+def _args_classify(sp) -> None:
     _add_pair(sp)
     sp.add_argument("--closed", action="store_true",
                     help="treat the ambient manifold as closed")
 
-    sp = verb("table", _cmd_table, "classification table over a twist range")
+
+def _args_table(sp) -> None:
     sp.add_argument("--range", type=_range_type, required=True,
                     metavar="LO:HI")
     sp.add_argument("--closed", action="store_true")
 
-    sp = verb("obstruct", _cmd_obstruct,
-              "concordance obstruction data for a sphere pair")
+
+def _args_obstruct(sp) -> None:
     _add_pair(sp)
     sp.add_argument("--closed", action="store_true")
 
-    sp = verb("homotopy-class", _cmd_homotopy_class,
-              "crossed-cycle class of the connecting homotopy")
-    _add_pair(sp)
 
-    sp = verb("render", _cmd_render, "text or SVG picture of a diagram")
+def _args_render(sp) -> None:
     _add_source(sp)
     sp.add_argument("--format", choices=("text", "svg"), default="text")
 
+
+# The one copy of the verb definitions, in help order:
+# name -> (handler, help text, function adding the verb's arguments).
+_VERBS = {
+    "build": (_cmd_build, "build the family handle diagram", _args_build),
+    "homology": (_cmd_homology, "first homology of the four-manifold",
+                 _add_source),
+    "boundary": (_cmd_boundary,
+                 "first homology of the boundary three-manifold",
+                 _add_source),
+    "cover": (_cmd_cover, "cyclic cover of a diagram", _args_cover),
+    "double": (_cmd_double, "double of the four-manifold", _add_source),
+    "slide": (_cmd_slide, "slide one two-handle over another", _args_slide),
+    "classify": (_cmd_classify, "compare the twist-i and twist-j spheres",
+                 _args_classify),
+    "table": (_cmd_table, "classification table over a twist range",
+              _args_table),
+    "obstruct": (_cmd_obstruct,
+                 "concordance obstruction data for a sphere pair",
+                 _args_obstruct),
+    "homotopy-class": (_cmd_homotopy_class,
+                       "crossed-cycle class of the connecting homotopy",
+                       _add_pair),
+    "render": (_cmd_render, "text or SVG picture of a diagram", _args_render),
+}
+
+
+def _build_parser(verb=None) -> argparse.ArgumentParser:
+    """The parser with every verb, or with ``verb`` alone when given."""
+    parser = argparse.ArgumentParser(
+        prog="lbkit",
+        description="Handle diagrams, covers, and the twisted-sphere "
+                    "classifier.")
+    sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
+    for name in _VERBS if verb is None else (verb,):
+        handler, help_text, add_arguments = _VERBS[name]
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(func=handler, parser=sp)
+        _add_out(sp)
+        add_arguments(sp)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # Build only the verb being run.  Anything else (no arguments, a
+    # leading option, an unknown verb) gets the full parser, so help and
+    # "invalid choice" errors still list every verb.
+    verb = argv[0] if argv and argv[0] in _VERBS else None
+    args = _build_parser(verb).parse_args(argv)
     try:
         text = args.func(args)
+        if args.out:
+            Path(args.out).write_text(text)
     except (ValueError, OSError) as err:
         sys.stdout.write(dumps({"error": str(err)}))
         return 1
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

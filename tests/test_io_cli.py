@@ -1,13 +1,19 @@
+import argparse
+import hashlib
 import io
 import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stdout
 from dataclasses import replace
 
 import pytest
 
-from lbkit.cli import main
+import lbkit.cli
+from lbkit.cli import (
+    MAX_COVER_DEGREE, MAX_TABLE_TWIST, MAX_TWIST, _VERBS, _build_parser, main,
+)
 from lbkit.covers import cyclic_cover_link, double_cover_diagram
 from lbkit.diagrams import RED, BLUE, half_twist_tangle
 from lbkit.homology import AbelianGroup
@@ -265,3 +271,240 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["dotted"] == ["dot"]
+
+    def test_out_into_missing_directory_is_a_domain_error(self, capsys,
+                                                          tmp_path):
+        target = tmp_path / "missing" / "d.json"
+        code, out, err = run_cli(capsys, "build", "--p", "1", "--q", "2",
+                                 "--out", str(target))
+        assert code == 1
+        assert "No such file or directory" in json.loads(out)["error"]
+        assert err == ""
+        assert not target.parent.exists()
+
+    def test_out_onto_directory_is_a_domain_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "build", "--p", "1", "--q", "2",
+                                 "--out", str(tmp_path))
+        assert code == 1
+        assert "Is a directory" in json.loads(out)["error"]
+        assert err == ""
+
+    @pytest.mark.parametrize("text, reason", [
+        ("5", "expected LO:HI"),
+        ("1:2:3", "expected LO:HI"),
+        ("a:b", "expected integers LO:HI"),
+        ("1:x", "expected integers LO:HI"),
+        ("3:1", "range is empty"),
+    ])
+    def test_bad_range_names_its_reason(self, capsys, text, reason):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", f"--range={text}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --range: {reason}" in err
+        assert repr(text) in err
+
+
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("an out-of-bound value reached the library")
+
+
+class TestCliBounds:
+    """Each bounded value: accepted at its bound, refused with exit 1 and
+    an error object just past it, before any library work starts."""
+
+    @pytest.mark.parametrize("verb", ["classify", "obstruct",
+                                      "homotopy-class"])
+    def test_pair_at_bound(self, capsys, verb):
+        code, out, _ = run_cli(capsys, verb, f"--i={MAX_TWIST}",
+                               f"--j={-MAX_TWIST}")
+        assert code == 0
+        assert "error" not in json.loads(out)
+
+    @pytest.mark.parametrize("verb, library", [
+        ("classify", "classify"),
+        ("obstruct", "_model_obstruction"),
+        ("homotopy-class", "connecting_homotopy"),
+    ])
+    @pytest.mark.parametrize("i, j, name", [
+        (MAX_TWIST + 1, 0, "--i"),
+        (0, -MAX_TWIST - 1, "--j"),
+    ])
+    def test_pair_past_bound(self, capsys, monkeypatch, verb, library,
+                             i, j, name):
+        monkeypatch.setattr(lbkit.cli, library, _refuse_to_run)
+        code, out, err = run_cli(capsys, verb, f"--i={i}", f"--j={j}")
+        assert code == 1
+        assert json.loads(out)["error"].startswith(f"{name} must be between")
+        assert err == ""
+
+    def test_table_at_bound(self, capsys):
+        for lo in (-MAX_TABLE_TWIST, MAX_TABLE_TWIST):
+            code, out, _ = run_cli(capsys, "table", f"--range={lo}:{lo}")
+            assert code == 0
+            assert out.splitlines()[1] == f"{lo},{lo},1,1,1,1"
+
+    @pytest.mark.parametrize("bounds", [
+        (MAX_TABLE_TWIST, MAX_TABLE_TWIST + 1),
+        (-MAX_TABLE_TWIST - 1, -MAX_TABLE_TWIST),
+    ])
+    def test_table_past_bound(self, capsys, monkeypatch, bounds):
+        monkeypatch.setattr(lbkit.cli, "classify", _refuse_to_run)
+        code, out, _ = run_cli(capsys, "table", "--range=%d:%d" % bounds)
+        assert code == 1
+        assert "--range endpoints must be between" in json.loads(out)["error"]
+
+    def test_cover_at_bound(self, capsys, tmp_path):
+        link = build_diagram(1, 0).attaching
+        path = tmp_path / "link.json"
+        path.write_text(dumps(annular_to_obj(link)))
+        code, out, _ = run_cli(capsys, "cover", str(path),
+                               f"--degree={MAX_COVER_DEGREE}")
+        assert code == 0
+        assert json.loads(out)["total"] == annular_to_obj(
+            cyclic_cover_link(link, MAX_COVER_DEGREE).total)
+
+    def test_cover_past_bound(self, capsys, tmp_path):
+        # the input is never read: the file does not exist
+        code, out, _ = run_cli(capsys, "cover", str(tmp_path / "none.json"),
+                               f"--degree={MAX_COVER_DEGREE + 1}")
+        assert code == 1
+        assert json.loads(out)["error"] == \
+            f"--degree must be at most {MAX_COVER_DEGREE}, " \
+            f"got {MAX_COVER_DEGREE + 1}"
+
+
+def _subparser(parser, verb):
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[verb]
+
+
+def run_cli_exit(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process call, usage errors
+    and help included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestOneVerbParser:
+    """main builds only the subparser of the verb it runs; what the user
+    sees must be what the full parser gives."""
+
+    def test_table_holds_every_verb(self):
+        assert list(_VERBS) == [
+            "build", "homology", "boundary", "cover", "double", "slide",
+            "classify", "table", "obstruct", "homotopy-class", "render"]
+
+    @pytest.mark.parametrize("verb", list(_VERBS))
+    def test_same_help_and_usage(self, verb):
+        full, one = _build_parser(), _build_parser(verb)
+        assert one.format_usage() == full.format_usage()
+        assert _subparser(one, verb).format_help() == \
+            _subparser(full, verb).format_help()
+        assert _subparser(one, verb).format_usage() == \
+            _subparser(full, verb).format_usage()
+
+    def test_one_verb_parser_holds_only_that_verb(self):
+        with pytest.raises(KeyError):
+            _subparser(_build_parser("classify"), "table")
+
+    @pytest.mark.parametrize("argv, built", [
+        (["classify", "--i=0", "--j=2"], "classify"),
+        (["homotopy-class", "-h"], "homotopy-class"),
+        (["-h", "classify"], None),
+        (["nope"], None),
+        (["classif"], None),
+        ([], None),
+    ])
+    def test_main_builds_the_verb_it_runs(self, capsys, monkeypatch, argv,
+                                          built):
+        seen = []
+
+        def spy(verb=None):
+            seen.append(verb)
+            return _build_parser(verb)
+
+        monkeypatch.setattr(lbkit.cli, "_build_parser", spy)
+        run_cli_exit(capsys, argv)
+        assert seen == [built]
+
+    @pytest.mark.parametrize("argv, status, stream", [
+        ([], 2, "err"),
+        (["-h"], 0, "out"),
+        (["-h", "classify"], 0, "out"),
+        (["nope"], 2, "err"),
+        (["nope", "--i=1"], 2, "err"),
+    ])
+    def test_top_level_help_and_errors_name_every_verb(self, capsys, argv,
+                                                        status, stream):
+        code, out, err = run_cli_exit(capsys, argv)
+        assert code == status
+        text = out if stream == "out" else err
+        if argv:
+            for verb in _VERBS:
+                assert verb in text, verb
+        else:
+            assert "required: VERB" in text
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["obstruct", "--i=2", "--j=0", "--closed"]
+        expected = run_cli_exit(capsys, argv)
+        monkeypatch.setattr(sys, "argv", ["lbkit", *argv])
+        assert run_cli_exit(capsys, None) == expected
+        monkeypatch.setattr(sys, "argv", ["lbkit", "-h"])
+        assert run_cli_exit(capsys, None) == run_cli_exit(capsys, ["-h"])
+
+    def test_calls_in_a_row_match_separate_processes(self, capsys):
+        calls = [["classify", "--i=0", "--j=2"],
+                 ["table", "--range=-1:1"],
+                 ["obstruct", "--i=0"],
+                 ["homotopy-class", "--i=0", "--j=6"]]
+        in_a_row = [run_cli_exit(capsys, argv) for argv in calls]
+        for argv, got in zip(calls, in_a_row):
+            proc = subprocess.run([sys.executable, "-m", "lbkit", *argv],
+                                  capture_output=True, text=True)
+            assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+CLASSIFY_GRID = [(i, j) for i in range(-8, 9) for j in range(-8, 9)]
+
+# sha256 over "<exit code>\n<stdout>" of each call in order, recorded
+# from the CLI when it still built all verbs on every call.  Output that
+# changes on purpose must change these digests on purpose.
+OUTPUT_DIGESTS = {
+    "table": "5a79f7d00009165f907b1d002f925a72a34be88ae652f6987966eb386255a87f",
+    "obstruct": "e1aacdb2126feb0c8c3593366362eb806af5d8f35e08ab4656f2f8bae7e60504",
+    "classify": "696f3a3f454668f74c33c86c811e8facea73466de63dc0f60cd2b9810c573288",
+    "homotopy-class":
+        "efc7576d363f229c5d91056e0781c8294a7d0fdc74c0cfcbd558c6d44658bec9",
+}
+
+
+def _digest_calls(verb, closed):
+    extra = ["--closed"] if closed else []
+    if verb == "table":
+        return [["table", "--range=-40:40", *extra]]
+    return [[verb, f"--i={i}", f"--j={j}", *extra] for i, j in CLASSIFY_GRID]
+
+
+@pytest.mark.parametrize("verb, closed", [
+    ("table", False), ("table", True),
+    ("classify", False), ("classify", True),
+    ("obstruct", False), ("obstruct", True),
+    ("homotopy-class", False),
+])
+def test_cli_output_digest(verb, closed):
+    """Byte-identity gate: table --range=-40:40 and the criterion-08 grid
+    through classify, obstruct and homotopy-class."""
+    h = hashlib.sha256()
+    for argv in _digest_calls(verb, closed):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main(argv)
+        h.update(f"{code}\n{buf.getvalue()}".encode())
+    assert h.hexdigest() == OUTPUT_DIGESTS[verb]
