@@ -13,8 +13,6 @@ stdin) or ``--p``/``--q`` to build the standard family diagram inline.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from pathlib import Path
 
@@ -169,16 +167,20 @@ def _cmd_table(args) -> str:
     lo, hi = args.range
     _check_bound("--range endpoints", lo, MAX_TABLE_TWIST)
     _check_bound("--range endpoints", hi, MAX_TABLE_TWIST)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_TABLE_HEADER)
+    # classify is symmetric in (i, j), so each unordered pair is decided
+    # once and its flags reused for the mirrored row.
+    flags = {}
+    lines = [",".join(_TABLE_HEADER)]
     for i in range(lo, hi + 1):
         for j in range(lo, hi + 1):
-            r = classify(i, j, args.closed)
-            writer.writerow([i, j, int(r.equivalent), int(r.homotopic),
-                             int(r.topologically_concordant),
-                             int(r.smoothly_isotopic)])
-    return buf.getvalue()
+            pair = (i, j) if i <= j else (j, i)
+            if pair not in flags:
+                r = classify(i, j, args.closed)
+                flags[pair] = (f"{int(r.equivalent)},{int(r.homotopic)},"
+                               f"{int(r.topologically_concordant)},"
+                               f"{int(r.smoothly_isotopic)}")
+            lines.append(f"{i},{j},{flags[pair]}")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_obstruct(args) -> str:

@@ -14,10 +14,11 @@ Each lift satisfies the framing identity
 
     (m/g) * base_framing = lift_framing + sum of lk(lift, sibling)
 
-over its sibling lifts (g = number of lifts); this is asserted on every
-construction.  In degree 2 the two sheets are labeled r and b and lifts
-are colored red and blue accordingly; the deck involution exchanges
-them.
+over its sibling lifts (g = number of lifts).  Every construction
+checks it on each braid lift and raises ``DiagramError`` when it fails;
+split lifts have no siblings to link and satisfy it trivially.  In
+degree 2 the two sheets are labeled r and b and lifts are colored red
+and blue accordingly; the deck involution exchanges them.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .diagrams import (
     BicoloredLink,
     ColoredTangle,
     DiagramError,
+    _half_sum,
+    _letter_sums,
     half_twist_tangle,
     swap_colors,
 )
@@ -52,26 +55,24 @@ def _sheet_label(j: int, m: int) -> str:
 
 
 class _CoverMixin:
-    def base_of(self, cid: str) -> str:
-        for cover, base, _ in self.component_map:
-            if cover == cid:
-                return base
+    @staticmethod
+    def _row(rows, cid: str) -> tuple:
+        for row in rows:
+            if row[0] == cid:
+                return row
         raise DiagramError(f"no cover component {cid!r}")
 
+    def base_of(self, cid: str) -> str:
+        return self._row(self.component_map, cid)[1]
+
     def sheet_of(self, cid: str) -> str:
-        for cover, _, sheet in self.component_map:
-            if cover == cid:
-                return sheet
-        raise DiagramError(f"no cover component {cid!r}")
+        return self._row(self.component_map, cid)[2]
 
     def lifts_of(self, base_id: str) -> tuple[str, ...]:
         return tuple(c for c, b, _ in self.component_map if b == base_id)
 
     def deck_of(self, cid: str) -> str:
-        for src, dst in self.deck:
-            if src == cid:
-                return dst
-        raise DiagramError(f"no cover component {cid!r}")
+        return self._row(self.deck, cid)[1]
 
 
 @dataclass(frozen=True)
@@ -120,11 +121,6 @@ class CoverData(_CoverMixin):
                     f"base handle {h.id!r} must have exactly {expected} lifts")
 
 
-def _word_writhe(letter_strands, strand_set) -> int:
-    return sum(sign for a, b, sign in letter_strands
-               if a in strand_set and b in strand_set)
-
-
 def cyclic_cover_link(link: AnnularLink, m: int) -> LinkCover:
     """Degree-m cyclic cover of an annular link.
 
@@ -140,61 +136,46 @@ def cyclic_cover_link(link: AnnularLink, m: int) -> LinkCover:
     word_m = link.word.power(m)
     perm = link.word.permutation()
     cycles = word_m.cycles()
-    cycle_of = {s: cyc for cyc in cycles for s in cyc}
-    letters = word_m.letter_strands()
+    owner = {s: k for k, cyc in enumerate(cycles) for s in cyc}
+    sums = _letter_sums(word_m, owner)
 
-    named: dict = {}
+    lifts: dict = {}
+    split = []
     cover_map: list[tuple[str, str, str]] = []
     deck: list[tuple[str, str]] = []
-    lift_names: dict[str, list[str]] = {}
-    for comp in link.components:
-        length = comp.winding
-        g = math.gcd(length, m)
-        names = []
-        rep = min(comp.strands)
+    # A split component is the winding-0 case: gcd(0, m) = m lifts, one
+    # per sheet, no strands to follow, and (the input being normalized)
+    # framed by its kinks.
+    for comp in link.all_components():
+        g = math.gcd(comp.winding, m)
+        kinks = comp.kinks * (m // g)
+        rep = min(comp.strands, default=None)
+        names, ks = [], []
         for j in range(g):
-            cyc = cycle_of[rep]
             label = _sheet_label(j, m)
             name = comp.id if m == 1 else f"{comp.id}.{label}"
             color = (RED, BLUE)[j] if m == 2 else comp.color
-            kinks = comp.kinks * (m // g)
-            framing = _word_writhe(letters, cyc) + kinks
-            named[cyc] = AnnularComponent(
-                name, cyc, color, framing, comp.orientation, kinks)
+            if rep is None:
+                split.append(AnnularComponent(
+                    name, frozenset(), color, kinks, comp.orientation, kinks))
+            else:
+                k = owner[rep]
+                lifts[k] = AnnularComponent(
+                    name, cycles[k], color, sums.get((k, k), 0) + kinks,
+                    comp.orientation, kinks)
+                ks.append(k)
+                rep = perm[rep - 1]
             cover_map.append((name, comp.id, label))
             names.append(name)
-            rep = perm[rep - 1]
-        lift_names[comp.id] = names
         deck.extend((names[j], names[(j + 1) % g]) for j in range(g))
-
-    components = tuple(named[cyc] for cyc in cycles)
-
-    split = []
-    for comp in link.split:
-        copies = []
-        for j in range(m):
-            label = _sheet_label(j, m)
-            name = comp.id if m == 1 else f"{comp.id}.{label}"
-            color = (RED, BLUE)[j] if m == 2 else comp.color
-            split.append(AnnularComponent(
-                name, frozenset(), color, comp.framing, comp.orientation,
-                comp.kinks))
-            cover_map.append((name, comp.id, label))
-            copies.append(name)
-        deck.extend((copies[j], copies[(j + 1) % m]) for j in range(m))
-
-    total = AnnularLink(word_m, components, tuple(split))
-
-    for comp in link.components:
-        g = math.gcd(comp.winding, m)
-        for name in lift_names[comp.id]:
-            siblings = sum(total.mixed_linking(name, other)
-                           for other in lift_names[comp.id] if other != name)
-            if (m // g) * comp.framing != \
-                    total.component(name).framing + siblings:
+        for k in ks:
+            siblings = sum(_half_sum(sums, k, other) for other in ks if other != k)
+            if (m // g) * comp.framing != lifts[k].framing + siblings:
                 raise DiagramError(
-                    f"framing identity failed for lift {name!r}")
+                    f"framing identity failed for lift {lifts[k].id!r}")
 
+    total = AnnularLink(word_m, tuple(lifts[k] for k in range(len(cycles))),
+                        tuple(split))
     return LinkCover(link, m, total, tuple(cover_map), tuple(deck))
 
 
@@ -242,11 +223,12 @@ def double_cover_diagram(d: KirbyDiagram) -> CoverData:
         comp = cov.total.component(cid)
         matrix[0][1 + k] = matrix[1 + k][0] = comp.winding
         matrix[1 + k][1 + k] = comp.framing
+    sums = cov.total._letter_table()
     for x in range(n):
         for y in range(x + 1, n):
             a, b = order[x], order[y]
             if a in braid_set and b in braid_set:
-                value = cov.total.mixed_linking(a, b)
+                value = _half_sum(sums, a, b)
             elif cov.sheet_of(a) != cov.sheet_of(b):
                 value = 0
             elif cov.base_of(a) == cov.base_of(b):

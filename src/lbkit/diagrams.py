@@ -215,40 +215,56 @@ class AnnularLink:
                 return comp
         raise DiagramError(f"no component {cid!r}")
 
-    def _owner(self) -> dict:
-        owner = {}
-        for comp in self.components:
-            for s in comp.strands:
-                owner[s] = comp.id
-        return owner
+    def _letter_table(self) -> dict:
+        """``_letter_sums`` of the word, keyed by component id."""
+        return _letter_sums(self.word, {s: comp.id for comp in self.components
+                                        for s in comp.strands})
 
     def word_self_writhe(self, cid: str) -> int:
         """Signed self-crossings of a component contributed by the word."""
-        comp = self.component(cid)
-        return sum(sign for a, b, sign in self.word.letter_strands()
-                   if a in comp.strands and b in comp.strands)
+        self.component(cid)  # an unknown id raises
+        return self._letter_table().get((cid, cid), 0)
 
     def writhe(self, cid: str) -> int:
         """Diagram self-writhe: word contribution plus inserted kinks."""
-        comp = self.component(cid)
-        if not comp.strands:
-            return comp.kinks
-        return self.word_self_writhe(cid) + comp.kinks
+        return self.word_self_writhe(cid) + self.component(cid).kinks
 
     def mixed_linking(self, cid: str, other: str) -> int:
         """Linking number of two distinct components of the closure."""
         if cid == other:
             raise DiagramError("mixed linking needs two distinct components")
-        c1 = self.component(cid).strands
-        c2 = self.component(other).strands
-        total = sum(sign for a, b, sign in self.word.letter_strands()
-                    if (a in c1 and b in c2) or (a in c2 and b in c1))
-        if total % 2:
-            raise DiagramError("crossings between closed components must pair up")
-        return total // 2
+        self.component(cid)
+        self.component(other)
+        return _half_sum(self._letter_table(), cid, other)
 
     def is_normalized(self) -> bool:
-        return all(self.writhe(c.id) == c.framing for c in self.all_components())
+        sums = self._letter_table()
+        return all(sums.get((c.id, c.id), 0) + c.kinks == c.framing
+                   for c in self.all_components())
+
+
+def _letter_sums(word: BraidWord, owner: dict) -> dict:
+    """Signed sum of the letters between each pair of closure cycles.
+
+    ``owner`` maps every strand to a key naming its cycle.  One pass over
+    ``word.letter_strands()`` attributes each letter to the pair of cycles
+    it crosses: keys are pairs (k, l) with k <= l, and (k, k) holds the
+    self-crossings of cycle k.  Pairs no letter crosses are absent.
+    """
+    sums: dict = {}
+    for a, b, sign in word.letter_strands():
+        k, l = owner[a], owner[b]
+        key = (k, l) if k <= l else (l, k)
+        sums[key] = sums.get(key, 0) + sign
+    return sums
+
+
+def _half_sum(sums: dict, k, l) -> int:
+    """Linking number of the distinct cycles k and l of a letter table."""
+    total = sums.get((k, l) if k <= l else (l, k), 0)
+    if total % 2:
+        raise DiagramError("crossings between closed components must pair up")
+    return total // 2
 
 
 def braid_closure(word: BraidWord, *, ids=None, colors=None, framings=None) -> AnnularLink:
@@ -273,8 +289,9 @@ def normalize_to_writhe(link: AnnularLink) -> AnnularLink:
     require this because a diagram-level cover can only transport
     framings that are visible as writhe.
     """
+    sums = link._letter_table()
     comps = tuple(
-        replace(c, kinks=c.framing - link.word_self_writhe(c.id))
+        replace(c, kinks=c.framing - sums.get((c.id, c.id), 0))
         for c in link.components)
     split = tuple(replace(c, kinks=c.framing) for c in link.split)
     return AnnularLink(link.word, comps, split)

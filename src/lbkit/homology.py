@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 
 __all__ = [
     "IntMatrix",
@@ -172,23 +173,16 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
-def invariant_factors(m) -> tuple[int, ...]:
+def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, in divisibility order.
 
-    Accepts an IntMatrix or a plain list of rows.  This is the fast
-    path used by the homology computations: no transform matrices are
-    accumulated.
+    This is the fast path used by the homology computations: no
+    transform matrices are accumulated.
     """
-    if isinstance(m, IntMatrix):
-        a = [list(row) for row in m.entries]
-        nrows, ncols = m.rows, m.cols
-    else:
-        a = [list(row) for row in m]
-        nrows = len(a)
-        ncols = len(a[0]) if a else 0
-    _eliminate(a, nrows, ncols)
+    a = [list(row) for row in m.entries]
+    _eliminate(a, m.rows, m.cols)
     out = []
-    for i in range(min(nrows, ncols)):
+    for i in range(min(m.rows, m.cols)):
         d = a[i][i]
         if d == 0:
             break
@@ -255,7 +249,6 @@ class AbelianGroup:
         n = 1
         for c, d in zip(el, self.invariant_factors):
             if c:
-                from math import gcd
                 m = d // gcd(c, d)
                 n = n * m // gcd(n, m)
         return n
@@ -273,15 +266,11 @@ class AbelianGroup:
         return tuple(sorted(out))
 
 
-def cokernel(m) -> AbelianGroup:
+def cokernel(m: IntMatrix) -> AbelianGroup:
     """Cokernel of the map Z^cols -> Z^rows given by the matrix."""
-    if isinstance(m, IntMatrix):
-        nrows = m.rows
-    else:
-        nrows = len(m)
     diag = invariant_factors(m)
     return AbelianGroup(
-        free_rank=nrows - len(diag),
+        free_rank=m.rows - len(diag),
         invariant_factors=tuple(d for d in diag if d > 1),
     )
 

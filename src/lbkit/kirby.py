@@ -152,11 +152,19 @@ def euler_characteristic(d: KirbyDiagram) -> int:
     return 1 - len(d.dotted) + len(d.two_handles) - d.three_handles + d.four_handles
 
 
-def _family_word() -> BraidWord:
-    # One negative and one positive half twist on disjoint strand pairs.
-    # The sign split is the convention that makes the two curves' double
-    # covers come out framed f+1 and f-1 respectively.
-    return BraidWord(4, ((1, -1), (3, 1)))
+def _family_attaching(first: TwoHandle, second: TwoHandle,
+                      dual: TwoHandle) -> AnnularLink:
+    """The family attaching link of these handles, normalized to writhe.
+
+    ``first`` takes a negative and ``second`` a positive half twist on
+    disjoint strand pairs: the sign split that makes the two curves'
+    double covers come out framed f+1 and f-1.  ``dual`` is split.
+    """
+    return normalize_to_writhe(AnnularLink(
+        BraidWord(4, ((1, -1), (3, 1))),
+        (AnnularComponent(first.id, frozenset({1, 2}), None, first.framing),
+         AnnularComponent(second.id, frozenset({3, 4}), None, second.framing)),
+        (AnnularComponent(dual.id, frozenset(), PURPLE, dual.framing),)))
 
 
 def build_diagram(p: int, q: int) -> KirbyDiagram:
@@ -174,25 +182,21 @@ def build_diagram(p: int, q: int) -> KirbyDiagram:
     to writhe) so that covers can be taken directly.
     """
     p, q = int(p), int(q)
-    word = _family_word()
-    upper = AnnularComponent("upper", frozenset({1, 2}), None, p)
-    lower = AnnularComponent("lower", frozenset({3, 4}), None, q)
-    dual = AnnularComponent("dual", frozenset(), PURPLE, 0)
-    attaching = normalize_to_writhe(AnnularLink(word, (upper, lower), (dual,)))
+    handles = (
+        TwoHandle("upper", p, (2,)),
+        TwoHandle("lower", q, (2,)),
+        TwoHandle("dual", 0, (0,)),
+    )
     return KirbyDiagram(
         dotted=("dot",),
-        two_handles=(
-            TwoHandle("upper", p, (2,)),
-            TwoHandle("lower", q, (2,)),
-            TwoHandle("dual", 0, (0,)),
-        ),
+        two_handles=handles,
         linking=(
             (0, 2, 2, 0),
             (2, p, 0, 0),
             (2, 0, q, 1),
             (0, 0, 1, 0),
         ),
-        attaching=attaching,
+        attaching=_family_attaching(*handles),
     )
 
 
@@ -307,12 +311,7 @@ def ensure_attaching(d: KirbyDiagram) -> KirbyDiagram:
     """
     if d.attaching is not None:
         return d
-    ph, qh, dual = _family_handles(d)
-    first = AnnularComponent(ph.id, frozenset({1, 2}), None, ph.framing)
-    second = AnnularComponent(qh.id, frozenset({3, 4}), None, qh.framing)
-    split = AnnularComponent(dual.id, frozenset(), PURPLE, dual.framing)
-    link = normalize_to_writhe(AnnularLink(_family_word(), (first, second), (split,)))
-    return replace(d, attaching=link)
+    return replace(d, attaching=_family_attaching(*_family_handles(d)))
 
 
 @dataclass(frozen=True)

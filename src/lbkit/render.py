@@ -24,13 +24,17 @@ def render(obj, fmt: str) -> str:
     if fmt not in ("text", "svg"):
         raise UnsupportedFormat(f"unknown format {fmt!r} (use text or svg)")
     if isinstance(obj, ColoredTangle):
-        return _tangle_text(obj) if fmt == "text" else _tangle_svg(obj)
+        if fmt == "text":
+            return _token_lines(obj.arcs + obj.closed, obj.crossings)
+        return _tangle_svg(obj)
     if isinstance(obj, KirbyDiagram):
         return _kirby_text(obj) if fmt == "text" else _kirby_svg(obj)
     if isinstance(obj, AnnularLink):
         return _annular_text(obj) if fmt == "text" else _annular_svg(obj)
     if isinstance(obj, BicoloredLink):
-        return _link_text(obj) if fmt == "text" else _link_svg(obj)
+        if fmt == "text":
+            return _token_lines(obj.components, obj.crossings)
+        return _link_svg(obj)
     raise UnsupportedFormat(f"cannot render {type(obj).__name__} objects")
 
 
@@ -55,25 +59,47 @@ def _color_class(color) -> str:
     return f"stroke-{color}" if color else "stroke-plain"
 
 
-# --------------------------------------------------------------------------
-# tangles
-
-
-def _tangle_text(t: ColoredTangle) -> str:
-    strands = t.arcs + t.closed
+def _token_lines(strands, crossings) -> str:
+    """One line per strand or component: its id, its color and an O or U
+    token with the crossing sign for each crossing it passes over or
+    under, in crossing order."""
     if not strands:
         return "(empty)\n"
     lines = []
     for s in strands:
         tokens = []
-        for c in t.crossings:
+        for c in crossings:
             if c.over == s.id:
                 tokens.append(f"O{'+' if c.sign > 0 else '-'}")
             elif c.under == s.id:
                 tokens.append(f"U{'+' if c.sign > 0 else '-'}")
-        label = s.color or "-"
-        lines.append(f"{s.id}({label}): {' '.join(tokens)}".rstrip())
+        lines.append(f"{s.id}({s.color or '-'}): {' '.join(tokens)}".rstrip())
     return "\n".join(lines) + "\n"
+
+
+def _crossing_glyph(root: ET.Element, x: int, y1: int, y2: int,
+                    label_y: int, label: str) -> None:
+    """A crossing at column x between rows y1 and y2, with its label.
+
+    The under strand is drawn broken at the crossing column.
+    """
+    ET.SubElement(root, "line", {
+        "class": "crossing-over", "stroke": "#000",
+        "x1": str(x - 8), "y1": str(y1), "x2": str(x + 8), "y2": str(y2),
+    })
+    ET.SubElement(root, "line", {
+        "class": "crossing-under", "stroke": "#000",
+        "stroke-dasharray": "4 6",
+        "x1": str(x - 8), "y1": str(y2), "x2": str(x + 8), "y2": str(y1),
+    })
+    ET.SubElement(root, "text", {
+        "x": str(x), "y": str(label_y), "font-size": "9",
+        "text-anchor": "middle",
+    }).text = label
+
+
+# --------------------------------------------------------------------------
+# tangles
 
 
 def _tangle_svg(t: ColoredTangle) -> str:
@@ -90,23 +116,8 @@ def _tangle_svg(t: ColoredTangle) -> str:
             "x1": "10", "y1": str(y), "x2": str(width - 10), "y2": str(y),
         })
     for k, c in enumerate(t.crossings):
-        x = 40 + 26 * k
-        y1, y2 = row[c.over], row[c.under]
-        # The under strand is drawn broken at the crossing column.
-        ET.SubElement(root, "line", {
-            "class": "crossing-over",
-            "stroke": "#000",
-            "x1": str(x - 8), "y1": str(y1), "x2": str(x + 8), "y2": str(y2),
-        })
-        ET.SubElement(root, "line", {
-            "class": "crossing-under",
-            "stroke": "#000", "stroke-dasharray": "4 6",
-            "x1": str(x - 8), "y1": str(y2), "x2": str(x + 8), "y2": str(y1),
-        })
-        ET.SubElement(root, "text", {
-            "x": str(x), "y": str(height - 6), "font-size": "9",
-            "text-anchor": "middle",
-        }).text = "+" if c.sign > 0 else "-"
+        _crossing_glyph(root, 40 + 26 * k, row[c.over], row[c.under],
+                        height - 6, "+" if c.sign > 0 else "-")
     return _svg_text(root)
 
 
@@ -202,21 +213,9 @@ def _annular_svg(link: AnnularLink) -> str:
             "x1": "30", "y1": str(y), "x2": str(width - 50), "y2": str(y),
         })
     for k, (pos, sign) in enumerate(word.letters):
-        x = 50 + 26 * k
-        y1, y2 = 20 + 22 * pos, 20 + 22 * (pos + 1)
-        ET.SubElement(root, "line", {
-            "class": "crossing-over", "stroke": "#000",
-            "x1": str(x - 8), "y1": str(y1), "x2": str(x + 8), "y2": str(y2),
-        })
-        ET.SubElement(root, "line", {
-            "class": "crossing-under", "stroke": "#000",
-            "stroke-dasharray": "4 6",
-            "x1": str(x - 8), "y1": str(y2), "x2": str(x + 8), "y2": str(y1),
-        })
-        ET.SubElement(root, "text", {
-            "x": str(x), "y": str(y1 - 6), "font-size": "9",
-            "text-anchor": "middle",
-        }).text = f"{pos}{'+' if sign > 0 else '-'}"
+        y1 = 20 + 22 * pos
+        _crossing_glyph(root, 50 + 26 * k, y1, y1 + 22, y1 - 6,
+                        f"{pos}{'+' if sign > 0 else '-'}")
     y = 20 + 22 * word.strands + 18
     for c in link.components + link.split:
         ET.SubElement(root, "text", {
@@ -229,22 +228,6 @@ def _annular_svg(link: AnnularLink) -> str:
 
 # --------------------------------------------------------------------------
 # closed links
-
-
-def _link_text(link: BicoloredLink) -> str:
-    if not link.components:
-        return "(empty)\n"
-    lines = []
-    for comp in link.components:
-        tokens = []
-        for c in link.crossings:
-            if c.over == comp.id:
-                tokens.append(f"O{'+' if c.sign > 0 else '-'}")
-            elif c.under == comp.id:
-                tokens.append(f"U{'+' if c.sign > 0 else '-'}")
-        lines.append(f"{comp.id}({comp.color or '-'}): "
-                     f"{' '.join(tokens)}".rstrip())
-    return "\n".join(lines) + "\n"
 
 
 def _link_svg(link: BicoloredLink) -> str:

@@ -64,6 +64,20 @@ class TestCyclicCoverLink:
                 image = deck[image]
             assert image == lift
 
+    def test_walks_the_covering_word_once(self, monkeypatch):
+        link = build_diagram(3, 2).attaching
+        word_m = link.word.power(4)
+        walked = []
+        letter_strands = BraidWord.letter_strands
+
+        def spy(word):
+            walked.append(word)
+            return letter_strands(word)
+
+        monkeypatch.setattr(BraidWord, "letter_strands", spy)
+        cyclic_cover_link(link, 4)
+        assert walked.count(word_m) == 1
+
     def test_degree_one_is_the_identity(self):
         link = build_diagram(3, 2).attaching
         cov = cyclic_cover_link(link, 1)

@@ -13,9 +13,10 @@ from lbkit.diagrams import (
     close_tangle, stack_tangles, bicolored_linking, mirror_image,
     swap_colors, reidemeister,
 )
+from lbkit.covers import cyclic_cover_link
 from lbkit.obstruction import clasped_side
 
-from strategies import braid_words
+from strategies import annular_links, braid_words
 
 
 FAMILY_WORD = BraidWord(4, ((1, -1), (3, 1)))
@@ -47,6 +48,41 @@ def reference_reverse_mirror(t):
     top = tuple(Slot(s.arc, s.end, flip[s.orientation]) for s in t.top)
     bottom = tuple(Slot(s.arc, s.end, flip[s.orientation]) for s in t.bottom)
     return ColoredTangle(t.arcs, t.closed, crossings, top, bottom)
+
+
+def reference_word_self_writhe(link, cid):
+    """The per-letter count: letters with both strands on the component."""
+    strands = link.component(cid).strands
+    return sum(sign for a, b, sign in link.word.letter_strands()
+               if a in strands and b in strands)
+
+
+def reference_mixed_linking(link, cid, other):
+    """The per-letter count: half the letters joining the two components."""
+    c1 = link.component(cid).strands
+    c2 = link.component(other).strands
+    total = sum(sign for a, b, sign in link.word.letter_strands()
+                if (a in c1 and b in c2) or (a in c2 and b in c1))
+    assert total % 2 == 0
+    return total // 2
+
+
+def reference_word_writhe(letter_strands, strand_set):
+    """The per-lift count of the cover: letters with both strands in the set."""
+    return sum(sign for a, b, sign in letter_strands
+               if a in strand_set and b in strand_set)
+
+
+@st.composite
+def annular_links_with_split(draw):
+    """``annular_links()``, some of them with a normalized split unknot."""
+    link = draw(annular_links())
+    if draw(st.booleans()):
+        framing = draw(st.integers(-3, 3))
+        unknot = AnnularComponent("s", frozenset(), PURPLE, framing,
+                                  draw(st.sampled_from((1, -1))), framing)
+        link = replace(link, split=(unknot,))
+    return link
 
 
 def compose(perm, other):
@@ -127,6 +163,47 @@ class TestAnnularClosure:
             split=(AnnularComponent("s", frozenset(), BLUE, framing=1),))
         assert with_split.mixed_linking("c", "s") == 0
         assert [c.id for c in with_split.all_components()] == ["c", "s"]
+
+
+class TestLetterTable:
+    @given(annular_links_with_split(), st.integers(1, 4))
+    def test_counts_match_the_per_letter_references(self, link, m):
+        ids = [c.id for c in link.all_components()]
+        for cid in ids:
+            self_sum = reference_word_self_writhe(link, cid)
+            assert link.word_self_writhe(cid) == self_sum
+            assert link.writhe(cid) == self_sum + link.component(cid).kinks
+            for other in ids:
+                if other != cid:
+                    assert link.mixed_linking(cid, other) == \
+                        reference_mixed_linking(link, cid, other)
+        assert link.is_normalized()
+        for k, comp in enumerate(link.all_components()):
+            comps = list(link.all_components())
+            comps[k] = replace(comp, framing=comp.framing + 1)
+            shifted = replace(link, components=tuple(comps[:len(link.components)]),
+                              split=tuple(comps[len(link.components):]))
+            assert not shifted.is_normalized()
+            again = normalize_to_writhe(shifted)
+            for before, after in zip(shifted.all_components(),
+                                     again.all_components()):
+                assert after.kinks == before.framing - \
+                    reference_word_self_writhe(shifted, before.id)
+        cov = cyclic_cover_link(link, m)
+        letters = cov.total.word.letter_strands()
+        for comp in cov.total.all_components():
+            assert comp.framing == \
+                reference_word_writhe(letters, comp.strands) + comp.kinks
+
+    def test_unknown_and_equal_ids_are_rejected(self):
+        link = braid_closure(FAMILY_WORD, ids=["u", "l"])
+        for call in (lambda: link.word_self_writhe("x"),
+                     lambda: link.writhe("x"),
+                     lambda: link.mixed_linking("u", "x"),
+                     lambda: link.mixed_linking("x", "u"),
+                     lambda: link.mixed_linking("u", "u")):
+            with pytest.raises(DiagramError):
+                call()
 
 
 class TestHalfTwistTangle:

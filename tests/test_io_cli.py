@@ -15,10 +15,16 @@ from lbkit.cli import (
     MAX_COVER_DEGREE, MAX_TABLE_TWIST, MAX_TWIST, _VERBS, _build_parser, main,
 )
 from lbkit.covers import cyclic_cover_link, double_cover_diagram
-from lbkit.diagrams import RED, BLUE, half_twist_tangle
+from lbkit.diagrams import (
+    BLUE, PURPLE, RED, AnnularComponent, BicoloredLink, BraidWord,
+    braid_closure, braid_closure_link, close_tangle, empty_tangle,
+    half_twist_tangle, normalize_to_writhe,
+)
 from lbkit.homology import AbelianGroup
 from lbkit.homotopy import classify, crossed_class, twist_homotopy
 from lbkit.kirby import build_diagram, double, ensure_attaching
+from lbkit.obstruction import clasped_side
+from lbkit.render import render
 from lbkit.serialize import (
     FormatError, annular_to_obj, cover_to_obj, crossed_class_to_obj, dumps,
     group_to_obj, kirby_to_obj, load_diagram, obj_to_annular, obj_to_kirby,
@@ -233,6 +239,21 @@ class TestCli:
         assert lines[0] == "i,j,equivalent,homotopic,concordant,isotopic"
         assert len(lines) == 1 + 5 * 5
         assert "0,2,1,1,0,0" in lines
+
+    def test_table_decides_each_unordered_pair_once(self, capsys,
+                                                     monkeypatch):
+        pairs = []
+
+        def spy(i, j, closed=False):
+            pairs.append((i, j))
+            return classify(i, j, closed)
+
+        monkeypatch.setattr(lbkit.cli, "classify", spy)
+        code, out, _ = run_cli(capsys, "table", "--range=-3:2")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 6 * 6
+        assert sorted(pairs) == [(i, j) for i in range(-3, 3)
+                                 for j in range(i, 3)]
 
     def test_table_bad_range_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -472,39 +493,138 @@ class TestOneVerbParser:
 
 
 CLASSIFY_GRID = [(i, j) for i in range(-8, 9) for j in range(-8, 9)]
+FAMILY_GRID = [(p, q) for p in (-3, 0, 1, 4) for q in (-2, 0, 3)]
 
-# sha256 over "<exit code>\n<stdout>" of each call in order, recorded
-# from the CLI when it still built all verbs on every call.  Output that
-# changes on purpose must change these digests on purpose.
+
+# sha256 over "<exit code>\n<stdout>" of each call in order.  The first
+# four were recorded from the CLI when it still built all verbs on every
+# call; the rest from the code before braid letters were counted in one
+# table and covers lifted in one loop.  Output that changes on purpose
+# must change these digests on purpose.
 OUTPUT_DIGESTS = {
     "table": "5a79f7d00009165f907b1d002f925a72a34be88ae652f6987966eb386255a87f",
     "obstruct": "e1aacdb2126feb0c8c3593366362eb806af5d8f35e08ab4656f2f8bae7e60504",
     "classify": "696f3a3f454668f74c33c86c811e8facea73466de63dc0f60cd2b9810c573288",
     "homotopy-class":
         "efc7576d363f229c5d91056e0781c8294a7d0fdc74c0cfcbd558c6d44658bec9",
+    "build grid":
+        "2ad5845d1e257d41eb2165883cd403615067de3370df07bb97a4b8dba7a854f8",
+    "homology grid":
+        "4191b12635d127757584cb711e478ef4d0ac50aa7f397b2da13178a35d6f80db",
+    "boundary grid":
+        "d5c8082e0931a9c5cc2bca444096deec4200617443036b13be77f96d612768a1",
+    "cover grid":
+        "440d42d6b0303d829a59d91fdee87b8a7fce29402750a14c731d4f00295251c2",
+    "double grid":
+        "3a992dd0649717ce809d4818fc6a4c3fa7ed246c84842e67d438d6a3184ef9ad",
+    "slide eps=1":
+        "0752dfc7dc19fb79538d1ce9f892085e6a242425f7212da408b728b2b3d1003a",
+    "slide eps=-1":
+        "998eb9c76aaf401cc5511e426010552597e6b44ab7290e4e29c9d1529d51f81a",
+    "cover degree=2":
+        "045c5ed0d6fa756c2460cb0c8fb11ea687425d9862fa7ff0755d67333285411d",
+    "cover degree=3":
+        "3a32b6b7fa514e44a8779eec1ed179ea4ef5121d6d1f93eb62d84a137851f0ad",
+    "cover degree=8":
+        "3d74da5f6e666d0e32ee6c602eebe3296b2f20c599d9051b1b657118ae5c2da7",
+    "render text":
+        "2ea775d3602847d689639d14af3e93b45f37918bb1cdf044169003121048e55b",
+    "render svg":
+        "a7df8d6fc768c2f31e407982afc30de487131ae3d5ea21fc5fe493eba690922f",
+    "render-link text":
+        "1db3b91d3dca8bdd5cc0c77b4d81245dce79103bc7962704559daf5b59290e50",
+    "render-link svg":
+        "e430ec2f6b4f1cdcda0a519e8ceeda69359d1da42d0983b69ecb498f101adef0",
 }
 
 
-def _digest_calls(verb, closed):
-    extra = ["--closed"] if closed else []
+def _digest_links():
+    """Annular links for cover and render: the family link with its split
+    dual, windings 3, 2 and 1 with two split unknots, and a full twist."""
+    mixed = braid_closure(
+        BraidWord(6, ((1, 1), (2, -1), (4, 1), (5, 1), (5, 1), (3, -1),
+                      (3, -1), (2, 1), (2, 1))),
+        ids=["x", "y", "z"], colors=[RED, None, BLUE], framings=[2, -1, 3])
+    mixed = replace(mixed, components=(
+        mixed.components[0], replace(mixed.components[1], orientation=-1),
+        mixed.components[2]), split=(
+        AnnularComponent("s", frozenset(), PURPLE, framing=-2),
+        AnnularComponent("t", frozenset(), None, framing=1)))
+    twist = braid_closure(BraidWord(3, ((1, 1), (2, 1)) * 3),
+                          framings=[1, 0, -1])
+    return [build_diagram(1, -2).attaching, normalize_to_writhe(mixed),
+            normalize_to_writhe(twist)]
+
+
+def _digest_tangles():
+    return [half_twist_tangle(5, (RED, BLUE)), half_twist_tangle(-4),
+            clasped_side(RED, clasps=2, plain_extras=1), empty_tangle()]
+
+
+def _digest_calls(verb, variant):
+    """(argv, stdin text or None) of each call of one digest case."""
     if verb == "table":
-        return [["table", "--range=-40:40", *extra]]
-    return [[verb, f"--i={i}", f"--j={j}", *extra] for i, j in CLASSIFY_GRID]
+        extra = ["--closed"] if variant else []
+        return [(["table", "--range=-40:40", *extra], None)]
+    if isinstance(variant, bool):
+        extra = ["--closed"] if variant else []
+        return [([verb, f"--i={i}", f"--j={j}", *extra], None)
+                for i, j in CLASSIFY_GRID]
+    family = [[f"--p={p}", f"--q={q}"] for p, q in FAMILY_GRID]
+    if variant == "grid":
+        return [([verb, *pq], None) for pq in family]
+    if verb == "slide":
+        return [(["slide", *pq, "--a=lower", "--b=dual", f"--{variant}"], None)
+                for pq in family]
+    links = [dumps(annular_to_obj(link)) for link in _digest_links()]
+    if verb == "cover":
+        return [(["cover", "-", f"--{variant}"], text) for text in links]
+    tangles = [dumps(tangle_to_obj(t)) for t in _digest_tangles()]
+    fmt = f"--format={variant}"
+    return ([(["render", *pq, fmt], None) for pq in family]
+            + [(["render", "-", fmt], text) for text in links + tangles])
 
 
-@pytest.mark.parametrize("verb, closed", [
+@pytest.mark.parametrize("verb, variant", [
     ("table", False), ("table", True),
     ("classify", False), ("classify", True),
     ("obstruct", False), ("obstruct", True),
     ("homotopy-class", False),
+    ("build", "grid"), ("homology", "grid"), ("boundary", "grid"),
+    ("cover", "grid"), ("double", "grid"),
+    ("slide", "eps=1"), ("slide", "eps=-1"),
+    ("cover", "degree=2"), ("cover", "degree=3"), ("cover", "degree=8"),
+    ("render", "text"), ("render", "svg"),
 ])
-def test_cli_output_digest(verb, closed):
+def test_cli_output_digest(verb, variant, monkeypatch):
     """Byte-identity gate: table --range=-40:40 and the criterion-08 grid
-    through classify, obstruct and homotopy-class."""
+    through classify, obstruct and homotopy-class (variant: --closed);
+    the family-path verbs over FAMILY_GRID; cover of annular links at
+    three degrees; and render of family diagrams, annular links and
+    tangles in both formats."""
     h = hashlib.sha256()
-    for argv in _digest_calls(verb, closed):
+    for argv, stdin in _digest_calls(verb, variant):
+        if stdin is not None:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
         buf = io.StringIO()
         with redirect_stdout(buf):
             code = main(argv)
         h.update(f"{code}\n{buf.getvalue()}".encode())
-    assert h.hexdigest() == OUTPUT_DIGESTS[verb]
+    key = verb if isinstance(variant, bool) else f"{verb} {variant}"
+    assert h.hexdigest() == OUTPUT_DIGESTS[key]
+
+
+def _digest_bicolored_links():
+    mixed = _digest_links()[1]
+    return [braid_closure_link(mixed.word, [RED, None, BLUE]),
+            close_tangle(half_twist_tangle(4, (RED, BLUE))),
+            BicoloredLink()]
+
+
+@pytest.mark.parametrize("fmt", ["text", "svg"])
+def test_render_link_digest(fmt):
+    """Byte-identity gate for closed links, which no CLI verb reads."""
+    h = hashlib.sha256()
+    for link in _digest_bicolored_links():
+        h.update(render(link, fmt).encode())
+    assert h.hexdigest() == OUTPUT_DIGESTS[f"render-link {fmt}"]
