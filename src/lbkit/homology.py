@@ -5,10 +5,22 @@ Smith normal form over the integers, presentation cokernels, and the
 arithmetic is done with Python integers, so there is no overflow and
 no tolerance anywhere in this module.
 
-Pivoting is deterministic: the pivot is always the entry of smallest
-nonzero absolute value in the trailing block, ties broken by lowest
-(row, col) in row-major order.  Identical input therefore yields
-identical transform matrices, which keeps serialized output stable.
+One elimination serves both ``smith_normal_form`` and
+``invariant_factors``.  Pivoting is deterministic: the pivot is the
+entry of smallest nonzero absolute value in the trailing block, ties
+broken by lowest (row, col) in row-major order, and the scan stops at
+the first unit.  The pivot's column and then its row are cleared by
+Bezout steps (Kannan and Bachem 1979; Cohen, *A Course in Computational
+Algebraic Number Theory*, Alg. 2.4.14): an entry the pivot divides loses
+a multiple of the pivot's line, and any other entry x is combined with
+the pivot p by the unimodular 2x2 move from the extended gcd, which
+makes the pivot ±gcd(p, x) and the entry zero in one step.  The
+clearing repeats only while the pivot strictly shrinks.  A row holding
+an entry the pivot does not divide is then added to the pivot's row,
+which enforces the divisibility chain (no such scan follows a unit
+pivot), and a negative pivot's row is negated.  Identical input
+therefore yields identical transform matrices; they are certified
+(u * m * v = d, u and v unimodular) but appear in no output.
 """
 
 from __future__ import annotations
@@ -46,12 +58,12 @@ class IntMatrix:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix")
             for x in row:
-                if not isinstance(x, int):
-                    raise ValueError("entries must be integers")
+                if type(x) is not int:
+                    raise ValueError(f"entries must be int, not {type(x).__name__}")
 
     @classmethod
     def from_rows(cls, rows, cols=None):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(map(tuple, rows))
         if cols is None:
             cols = len(data[0]) if data else 0
         return cls(len(data), cols, data)
@@ -64,6 +76,17 @@ class IntMatrix:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
 
+def _xgcd(a, b):
+    """(g, s, r) with s * a + r * b = g = ±gcd(a, b), for b != 0."""
+    s0, s1, r0, r1 = 1, 0, 0, 1
+    while b:
+        q, rem = divmod(a, b)
+        a, b = b, rem
+        s0, s1 = s1, s0 - q * s1
+        r0, r1 = r1, r0 - q * r1
+    return a, s0, r0
+
+
 def _eliminate(a, nrows, ncols, u=None, v=None):
     """Diagonalize ``a`` in place with unimodular row and column moves.
 
@@ -74,7 +97,7 @@ def _eliminate(a, nrows, ncols, u=None, v=None):
     t = 0
     limit = min(nrows, ncols)
     while t < limit:
-        best = None
+        best = 0
         for i in range(t, nrows):
             ai = a[i]
             for j in range(t, ncols):
@@ -82,11 +105,14 @@ def _eliminate(a, nrows, ncols, u=None, v=None):
                 if x:
                     if x < 0:
                         x = -x
-                    if best is None or x < best[0]:
-                        best = (x, i, j)
-        if best is None:
+                    if not best or x < best:
+                        best, bi, bj = x, i, j
+                        if x == 1:
+                            break
+            if best == 1:
+                break
+        if not best:
             break
-        _, bi, bj = best
         if bi != t:
             a[t], a[bi] = a[bi], a[t]
             if u is not None:
@@ -97,59 +123,88 @@ def _eliminate(a, nrows, ncols, u=None, v=None):
             if v is not None:
                 for row in v:
                     row[t], row[bj] = row[bj], row[t]
-        p = a[t][t]
         at = a[t]
-        dirty = False
-        for i in range(t + 1, nrows):
-            x = a[i][t]
-            if x:
-                q = x // p
-                if q:
-                    ai = a[i]
-                    for j in range(t, ncols):
+        p = at[t]
+        while True:
+            # Clear column t below the pivot.  A Bezout step replaces rows
+            # t and i by (s, r; -x/g, p/g) times them, which is unimodular,
+            # makes the pivot g = ±gcd(p, x) and zeros the entry.
+            for i in range(t + 1, nrows):
+                ai = a[i]
+                x = ai[t]
+                if not x:
+                    continue
+                if x % p:
+                    g, s, r = _xgcd(p, x)
+                    c, d = -x // g, p // g
+                    a[i] = [c * y + d * z for y, z in zip(at, ai)]
+                    at = a[t] = [s * y + r * z for y, z in zip(at, ai)]
+                    if u is not None:
+                        ut, ui = u[t], u[i]
+                        u[t] = [s * y + r * z for y, z in zip(ut, ui)]
+                        u[i] = [c * y + d * z for y, z in zip(ut, ui)]
+                    p = g
+                else:
+                    q = x // p
+                    ai[t] = 0
+                    for j in range(t + 1, ncols):
                         ai[j] -= q * at[j]
                     if u is not None:
-                        ui, ut = u[i], u[t]
-                        for j in range(len(ui)):
-                            ui[j] -= q * ut[j]
-                if a[i][t]:
-                    dirty = True
-        for j in range(t + 1, ncols):
-            x = at[j]
-            if x:
-                q = x // p
-                if q:
-                    for row in a:
-                        row[j] -= q * row[t]
+                        u[i] = [z - q * y for y, z in zip(u[t], u[i])]
+            # Clear row t right of the pivot, the same with columns.
+            shrunk = False
+            for j in range(t + 1, ncols):
+                x = at[j]
+                if not x:
+                    continue
+                if x % p:
+                    g, s, r = _xgcd(p, x)
+                    c, d = -x // g, p // g
+                    for i in range(t, nrows):
+                        row = a[i]
+                        y, z = row[t], row[j]
+                        row[t], row[j] = s * y + r * z, c * y + d * z
+                    if v is not None:
+                        for row in v:
+                            y, z = row[t], row[j]
+                            row[t], row[j] = s * y + r * z, c * y + d * z
+                    p = g
+                    shrunk = True
+                else:
+                    q = x // p
+                    if shrunk:
+                        for i in range(t, nrows):
+                            row = a[i]
+                            row[j] -= q * row[t]
+                    else:
+                        # Column t is still zero below the pivot.
+                        at[j] = 0
                     if v is not None:
                         for row in v:
                             row[j] -= q * row[t]
-                if at[j]:
-                    dirty = True
-        if dirty:
-            continue
-        # Row and column t are clear; enforce the divisibility chain.
-        p = a[t][t]
-        stray = None
-        for i in range(t + 1, nrows):
-            ai = a[i]
-            for j in range(t + 1, ncols):
-                if ai[j] % p:
-                    stray = i
-                    break
-            if stray is not None:
+            if shrunk:
+                # Column steps may have refilled column t; go again.
+                continue
+            if p == 1 or p == -1:
                 break
-        if stray is not None:
-            ai, at = a[stray], a[t]
-            for j in range(ncols):
-                at[j] += ai[j]
+            # Row and column t are clear; enforce the divisibility chain
+            # by adding a row with an entry the pivot does not divide.
+            stray = None
+            for i in range(t + 1, nrows):
+                ai = a[i]
+                for j in range(t + 1, ncols):
+                    if ai[j] % p:
+                        stray = i
+                        break
+                if stray is not None:
+                    break
+            if stray is None:
+                break
+            at = a[t] = [y + z for y, z in zip(at, a[stray])]
             if u is not None:
-                us, ut = u[stray], u[t]
-                for j in range(len(ut)):
-                    ut[j] += us[j]
-            continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
+                u[t] = [y + z for y, z in zip(u[t], u[stray])]
+        if p < 0:
+            a[t] = [-x for x in at]
             if u is not None:
                 u[t] = [-x for x in u[t]]
         t += 1
@@ -176,8 +231,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, in divisibility order.
 
-    This is the fast path used by the homology computations: no
-    transform matrices are accumulated.
+    The same elimination as ``smith_normal_form``, with no transform
+    matrices accumulated.
     """
     a = [list(row) for row in m.entries]
     _eliminate(a, m.rows, m.cols)
@@ -206,11 +261,17 @@ class AbelianGroup:
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if type(self.free_rank) is not int:
+            raise ValueError(
+                f"free rank must be int, not {type(self.free_rank).__name__}")
         if self.free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        facs = tuple(int(d) for d in self.invariant_factors)
+        facs = tuple(self.invariant_factors)
         object.__setattr__(self, "invariant_factors", facs)
         for d in facs:
+            if type(d) is not int:
+                raise ValueError(
+                    f"invariant factors must be int, not {type(d).__name__}")
             if d < 2:
                 raise ValueError("invariant factors must be at least 2")
         for d, e in zip(facs, facs[1:]):

@@ -28,9 +28,14 @@ def annular_links(draw, min_strands=1, max_strands=4, max_letters=5):
 
 
 @st.composite
-def int_matrices(draw, max_dim=4, bound=5):
-    rows = draw(st.integers(1, max_dim))
-    cols = draw(st.integers(1, max_dim))
+def int_matrices(draw, max_dim=4, bound=5, shapes=None):
+    """A rows x cols matrix with entries in [-bound, bound]; the shape is
+    drawn from ``shapes`` when given, else each side from 1 to max_dim."""
+    if shapes is None:
+        rows = draw(st.integers(1, max_dim))
+        cols = draw(st.integers(1, max_dim))
+    else:
+        rows, cols = draw(st.sampled_from(shapes))
     entry = st.integers(-bound, bound)
     entries = draw(st.lists(
         st.lists(entry, min_size=cols, max_size=cols),

@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lbkit.homology import (
     IntMatrix, AbelianGroup, smith_normal_form, invariant_factors,
@@ -55,29 +55,60 @@ def divisor_factors(m):
     return tuple(out)
 
 
+# The benchmark's large shapes, square 4x4 to 8x8, and a few rectangular
+# ones up to 8; with entries up to 50 the elimination chains Bezout steps
+# and its transform entries run to hundreds of bits.
+LARGE_SHAPES = tuple((n, n) for n in range(4, 9)) + ((4, 7), (7, 4), (5, 8), (8, 6))
+
+
+def assert_decomposition(m, d, u, v):
+    """u * m * v = d with u and v unimodular."""
+    assert (u.rows, u.cols) == (m.rows, m.rows)
+    assert (v.rows, v.cols) == (m.cols, m.cols)
+    prod = [[sum(u.entries[i][k] * m.entries[k][l] * v.entries[l][j]
+                 for k in range(m.rows) for l in range(m.cols))
+             for j in range(m.cols)] for i in range(m.rows)]
+    assert tuple(tuple(r) for r in prod) == d.entries
+    assert abs(exact_det(u.entries)) == 1
+    assert abs(exact_det(v.entries)) == 1
+
+
+def smith_diagonal(d):
+    """The nonzero diagonal of d, after checking that d is diagonal and
+    non-negative with trailing zeros and a divisibility chain."""
+    diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
+    assert all(d.entries[i][j] == 0
+               for i in range(d.rows) for j in range(d.cols) if i != j)
+    nonzero = [x for x in diag if x]
+    assert diag[:len(nonzero)] == nonzero  # zeros trail
+    assert all(x > 0 for x in nonzero)
+    assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+    return tuple(nonzero)
+
+
 class TestSmithNormalForm:
     @given(int_matrices())
     def test_decomposition_is_exact_and_unimodular(self, m):
-        d, u, v = smith_normal_form(m)
-        assert (u.rows, u.cols) == (m.rows, m.rows)
-        assert (v.rows, v.cols) == (m.cols, m.cols)
-        prod = [[sum(u.entries[i][k] * m.entries[k][l] * v.entries[l][j]
-                     for k in range(m.rows) for l in range(m.cols))
-                 for j in range(m.cols)] for i in range(m.rows)]
-        assert tuple(tuple(r) for r in prod) == d.entries
-        assert abs(exact_det(u.entries)) == 1
-        assert abs(exact_det(v.entries)) == 1
+        assert_decomposition(m, *smith_normal_form(m))
 
     @given(int_matrices())
     def test_diagonal_divisibility_chain(self, m):
-        d, _, _ = smith_normal_form(m)
-        diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
-        assert all(d.entries[i][j] == 0
-                   for i in range(d.rows) for j in range(d.cols) if i != j)
-        nonzero = [x for x in diag if x]
-        assert diag[:len(nonzero)] == nonzero  # zeros trail
-        assert all(x > 0 for x in nonzero)
-        assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+        smith_diagonal(smith_normal_form(m)[0])
+
+    @settings(max_examples=200)
+    @given(int_matrices(bound=50, shapes=LARGE_SHAPES))
+    def test_certificate_at_large_shapes(self, m):
+        d, u, v = smith_normal_form(m)
+        assert_decomposition(m, d, u, v)
+        assert invariant_factors(m) == smith_diagonal(d)
+        assert smith_normal_form(m) == (d, u, v)
+
+    @given(int_matrices(max_dim=6, bound=50))
+    def test_matches_sympy(self, m):
+        normalforms = pytest.importorskip("sympy.matrices.normalforms")
+        from sympy import Matrix, ZZ
+        theirs = normalforms.invariant_factors(Matrix(m.entries), domain=ZZ)
+        assert invariant_factors(m) == tuple(abs(int(x)) for x in theirs if x)
 
     @given(int_matrices(max_dim=3, bound=3))
     def test_matches_determinantal_divisor_oracle(self, m):
@@ -96,6 +127,22 @@ class TestSmithNormalForm:
             (2, 0, 0), (0, 0, 0), (0, 0, 4)))) == (2, 4)
 
 
+class TestIntMatrix:
+    @pytest.mark.parametrize("bad", [2.5, 3.0, "3", True, False, None])
+    def test_refuses_non_int_entries(self, bad):
+        with pytest.raises(ValueError):
+            IntMatrix(1, 2, ((1, bad),))
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows([[1, bad]])
+
+    def test_from_rows_keeps_ints(self):
+        m = IntMatrix.from_rows([[1, -2], (3, 0)])
+        assert m == IntMatrix(2, 2, ((1, -2), (3, 0)))
+        assert IntMatrix.from_rows([], 3) == IntMatrix(0, 3, ())
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows([[1, 2], [3]])
+
+
 class TestAbelianGroup:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -105,6 +152,18 @@ class TestAbelianGroup:
         with pytest.raises(ValueError):
             AbelianGroup(0, (3, 2))
         AbelianGroup(2, (2, 4, 12))
+
+    @pytest.mark.parametrize("bad", [1.0, "1", True, None])
+    def test_refuses_non_int_free_rank(self, bad):
+        with pytest.raises(ValueError):
+            AbelianGroup(bad)
+
+    @pytest.mark.parametrize("bad", [2.0, 4.5, "2", True, None])
+    def test_refuses_non_int_factors(self, bad):
+        with pytest.raises(ValueError):
+            AbelianGroup(0, (bad,))
+        with pytest.raises(ValueError):
+            AbelianGroup(1, (2, bad))
 
     def test_cokernel_canonical_forms(self):
         assert cokernel(IntMatrix(2, 2, ((1, 0), (0, 1)))) == AbelianGroup(0)
