@@ -4,7 +4,8 @@ One verb per operation; results are printed as interchange JSON (or CSV
 for ``table``, plain text/SVG for ``render``).  Domain errors print an
 ``{"error": ...}`` object and exit 1, as do values past the ``MAX_*``
 bounds below and a failed ``--out`` write; usage errors exit 2 via
-argparse.  Each call builds the parser of its own verb only.
+argparse.  Each call uses the parser of its own verb only, built once
+per process.
 
 Verbs that consume a diagram accept either a JSON file (``-`` for
 stdin) or ``--p``/``--q`` to build the standard family diagram inline.
@@ -13,6 +14,7 @@ stdin) or ``--p``/``--q`` to build the standard family diagram inline.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -277,8 +279,12 @@ _VERBS = {
 }
 
 
+@functools.cache
 def _build_parser(verb=None) -> argparse.ArgumentParser:
-    """The parser with every verb, or with ``verb`` alone when given."""
+    """The parser with every verb, or with ``verb`` alone when given; a
+    one-verb parser also holds the verb's own parser as its ``parser``
+    default.  Parsing leaves a parser unchanged, so each is built once
+    per process."""
     parser = argparse.ArgumentParser(
         prog="lbkit",
         description="Handle diagrams, covers, and the twisted-sphere "
@@ -290,17 +296,26 @@ def _build_parser(verb=None) -> argparse.ArgumentParser:
         sp.set_defaults(func=handler, parser=sp)
         _add_out(sp)
         add_arguments(sp)
+    if verb is not None:
+        parser.set_defaults(parser=sp)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # Build only the verb being run.  Anything else (no arguments, a
+    # Use only the verb being run.  Anything else (no arguments, a
     # leading option, an unknown verb) gets the full parser, so help and
     # "invalid choice" errors still list every verb.
     verb = argv[0] if argv and argv[0] in _VERBS else None
-    args = _build_parser(verb).parse_args(argv)
+    parser = _build_parser(verb)
+    args = extra = None
+    if verb is not None:
+        # A full parse hands all after the verb to the verb's parser; parse
+        # in full only to report arguments the verb does not take.
+        args, extra = parser.get_default("parser").parse_known_args(argv[1:])
+    if args is None or extra:
+        args = parser.parse_args(argv)
     try:
         text = args.func(args)
         if args.out:

@@ -30,6 +30,8 @@ Conventions, fixed once and used by every module:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
+from operator import attrgetter
 
 RED = "red"
 BLUE = "blue"
@@ -38,6 +40,8 @@ PURPLE = "purple"
 _COMPONENT_COLORS = (RED, BLUE, PURPLE, None)
 _IN = "in"
 _OUT = "out"
+_ID = attrgetter("id")
+_SLOT_END = attrgetter("arc", "end")
 
 __all__ = [
     "RED", "BLUE", "PURPLE",
@@ -351,18 +355,19 @@ class ColoredTangle:
     def __post_init__(self):
         for name in ("arcs", "closed", "crossings", "top", "bottom"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        ids = [s.id for s in self.arcs + self.closed]
-        if len(set(ids)) != len(ids):
+        arcs, closed = self.arcs, self.closed
+        arc_ids = set(map(_ID, arcs))
+        known = arc_ids.union(map(_ID, closed))
+        if len(known) != len(arcs) + len(closed):
             raise DiagramError("strand ids must be unique")
-        known = set(ids)
-        arc_ids = {s.id for s in self.arcs}
         for c in self.crossings:
             if c.over not in known or c.under not in known:
-                raise DiagramError(f"crossing references unknown strand")
-        ends = [(slot.arc, slot.end) for slot in self.top + self.bottom]
-        if len(set(ends)) != len(ends):
+                raise DiagramError("crossing references unknown strand")
+        slots = self.top + self.bottom
+        ends = set(map(_SLOT_END, slots))
+        if len(ends) != len(slots):
             raise DiagramError("an arc end may occupy only one slot")
-        if set(ends) != {(a, e) for a in arc_ids for e in (0, 1)}:
+        if ends != set(product(arc_ids, (0, 1))):
             raise DiagramError("every arc must have both ends in slots, "
                                "and only arcs may have endpoints")
 
@@ -381,6 +386,16 @@ def empty_tangle() -> ColoredTangle:
     return ColoredTangle()
 
 
+# The immutable parts half-twist tangles share: walls (bottom by twist
+# parity), the red/blue lift's arcs, and the crossing pair of each sign.
+_TWIST_TOP = (Slot("a", 0, _IN), Slot("b", 0, _IN))
+_TWIST_BOTTOM = ((Slot("a", 1, _OUT), Slot("b", 1, _OUT)),
+                 (Slot("b", 1, _OUT), Slot("a", 1, _OUT)))
+_LIFT_ARCS = (Strand("a", RED), Strand("b", BLUE))
+_POSITIVE_PAIR = (Crossing("a", "b", 1), Crossing("b", "a", 1))
+_NEGATIVE_PAIR = (Crossing("b", "a", -1), Crossing("a", "b", -1))
+
+
 def half_twist_tangle(n: int, colors=(None, None)) -> ColoredTangle:
     """Two arcs with |n| half twists of sign sgn(n).
 
@@ -392,19 +407,14 @@ def half_twist_tangle(n: int, colors=(None, None)) -> ColoredTangle:
     rather than holding |n| copies.
     """
     ca, cb = colors
-    arcs = (Strand("a", ca), Strand("b", cb))
-    if n > 0:
-        pair = (Crossing("a", "b", 1), Crossing("b", "a", 1))
+    if (ca, cb) == (RED, BLUE):
+        arcs = _LIFT_ARCS
     else:
-        pair = (Crossing("b", "a", -1), Crossing("a", "b", -1))
+        arcs = (Strand("a", ca), Strand("b", cb))
+    pair = _POSITIVE_PAIR if n > 0 else _NEGATIVE_PAIR
     k = abs(n)
-    crossings = pair * (k // 2) + pair[:k % 2]
-    top = (Slot("a", 0, _IN), Slot("b", 0, _IN))
-    if n % 2 == 0:
-        bottom = (Slot("a", 1, _OUT), Slot("b", 1, _OUT))
-    else:
-        bottom = (Slot("b", 1, _OUT), Slot("a", 1, _OUT))
-    return ColoredTangle(arcs, (), crossings, top, bottom)
+    return ColoredTangle(arcs, (), pair * (k // 2) + pair[:k % 2],
+                         _TWIST_TOP, _TWIST_BOTTOM[n % 2])
 
 
 def _map_crossings(crossings, image) -> tuple:
@@ -429,6 +439,15 @@ def _flip(c: Crossing) -> Crossing:
     return Crossing(c.under, c.over, -c.sign)
 
 
+def _reversed(wall) -> tuple:
+    return tuple(Slot(s.arc, s.end, _REVERSE[s.orientation]) for s in wall)
+
+
+# The walls of a twist tangle reversed, built once.
+_REVERSE = {_IN: _OUT, _OUT: _IN}
+_REVERSED_WALLS = {w: _reversed(w) for w in (_TWIST_TOP, *_TWIST_BOTTOM)}
+
+
 def reverse_mirror(t: ColoredTangle) -> ColoredTangle:
     """Reverse every orientation and flip every crossing.
 
@@ -438,11 +457,10 @@ def reverse_mirror(t: ColoredTangle) -> ColoredTangle:
     flipped once, so the result shares its immutable crossings the way
     ``t`` does.
     """
-    flip = {_IN: _OUT, _OUT: _IN}
-    top = tuple(Slot(s.arc, s.end, flip[s.orientation]) for s in t.top)
-    bottom = tuple(Slot(s.arc, s.end, flip[s.orientation]) for s in t.bottom)
-    return ColoredTangle(t.arcs, t.closed, _map_crossings(t.crossings, _flip),
-                         top, bottom)
+    return ColoredTangle(
+        t.arcs, t.closed, _map_crossings(t.crossings, _flip),
+        _REVERSED_WALLS.get(t.top) or _reversed(t.top),
+        _REVERSED_WALLS.get(t.bottom) or _reversed(t.bottom))
 
 
 class _Merge:
@@ -488,10 +506,9 @@ class BicoloredLink:
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "crossings", tuple(self.crossings))
-        ids = [c.id for c in self.components]
-        if len(set(ids)) != len(ids):
+        known = set(map(_ID, self.components))
+        if len(known) != len(self.components):
             raise DiagramError("component ids must be unique")
-        known = set(ids)
         for c in self.crossings:
             if c.over not in known or c.under not in known:
                 raise DiagramError("crossing references unknown component")

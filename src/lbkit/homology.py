@@ -290,7 +290,11 @@ class AbelianGroup:
         return (0,) * self.arity
 
     def reduce(self, element) -> tuple[int, ...]:
-        element = tuple(int(x) for x in element)
+        element = tuple(element)
+        for x in element:
+            if type(x) is not int:
+                raise ValueError(
+                    f"coordinates must be int, not {type(x).__name__}")
         if len(element) != self.arity:
             raise ValueError(
                 f"element has {len(element)} coordinates, expected {self.arity}")

@@ -108,6 +108,9 @@ def empty_trace(group: AbelianGroup) -> HomotopyTrace:
 
 
 _Z2 = AbelianGroup(0, (2,))
+# The moves and cycle of a twist step, the same for every step.
+_STEP_MOVES = (FingerMove((1,)), WhitneyMove((1,)))
+_STEP_CYCLES = (Cycle(True, (1,), 2, 2),)
 
 
 def twist_homotopy(n: int) -> HomotopyTrace:
@@ -120,12 +123,7 @@ def twist_homotopy(n: int) -> HomotopyTrace:
     at.
     """
     del n
-    x = (1,)
-    return HomotopyTrace(
-        _Z2,
-        moves=(FingerMove(x), WhitneyMove(x)),
-        cycles=(Cycle(True, x, 2, 2),),
-    )
+    return HomotopyTrace(_Z2, moves=_STEP_MOVES, cycles=_STEP_CYCLES)
 
 
 def concat(a: HomotopyTrace, b: HomotopyTrace) -> HomotopyTrace:
@@ -295,6 +293,9 @@ def classify(i: int, j: int, closed: bool = False) -> Relation:
     elif not concordant:
         evidence["smoothly_isotopic"] = "not concordant"
     else:
-        evidence["smoothly_isotopic"] = ("crossed-cycle class nonzero; "
-                                         "no isotopy certificate")
+        # fq of the k-step homotopy is k mod 2, as is the linking parity.
+        raise InvalidTrace(
+            f"twist counts {i} and {j}: the crossed-cycle class (fq) is "
+            "nonzero but the linking parity is 0; fq and the linking "
+            "parity disagree")
     return Relation(True, True, concordant, isotopic, evidence)

@@ -40,6 +40,13 @@ __all__ = [
 ]
 
 
+def _require_ints(values, what: str) -> None:
+    """Refuse anything but exact ints (bools included) in ``values``."""
+    for x in values:
+        if type(x) is not int:
+            raise DiagramError(f"{what} must be int, not {type(x).__name__}")
+
+
 @dataclass(frozen=True)
 class TwoHandle:
     """A framed 2-handle: its attaching curve is recorded through the
@@ -50,8 +57,12 @@ class TwoHandle:
     winding: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "winding", tuple(int(w) for w in self.winding))
-        object.__setattr__(self, "framing", int(self.framing))
+        if not isinstance(self.id, str):
+            raise DiagramError(
+                f"handle ids must be str, not {type(self.id).__name__}")
+        object.__setattr__(self, "winding", tuple(self.winding))
+        _require_ints((self.framing,), f"framing of {self.id!r}")
+        _require_ints(self.winding, f"winding of {self.id!r}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +88,15 @@ class KirbyDiagram:
     def __post_init__(self):
         object.__setattr__(self, "dotted", tuple(self.dotted))
         object.__setattr__(self, "two_handles", tuple(self.two_handles))
+        for did in self.dotted:
+            if not isinstance(did, str):
+                raise DiagramError(
+                    f"handle ids must be str, not {type(did).__name__}")
         object.__setattr__(
-            self, "linking", tuple(tuple(int(x) for x in row) for row in self.linking))
+            self, "linking", tuple(tuple(row) for row in self.linking))
+        for row in self.linking:
+            _require_ints(row, "linking entries")
+        _require_ints((self.three_handles, self.four_handles), "handle counts")
         ids = list(self.dotted) + [h.id for h in self.two_handles]
         if len(set(ids)) != len(ids):
             raise DiagramError("handle ids must be unique")

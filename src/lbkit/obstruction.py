@@ -21,6 +21,7 @@ added term even, so the parity is unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .diagrams import (
     BLUE,
@@ -60,13 +61,6 @@ _SIDE_NAMES = ("side_plus_red", "side_plus_blue",
 _SIDE_COLORS = (RED, BLUE, RED, BLUE)
 
 
-def _arc_of_color(t: ColoredTangle, color: str):
-    arcs = [s for s in t.arcs if s.color == color]
-    if len(arcs) > 1:
-        raise ColorMismatch(f"expected at most one {color} arc")
-    return arcs[0] if arcs else None
-
-
 @dataclass(frozen=True)
 class ConcordanceSlice:
     """Boundary data of a hypothetical concordance over the slicing ball.
@@ -87,38 +81,40 @@ class ConcordanceSlice:
     side_minus_blue: ColoredTangle
 
     def __post_init__(self):
-        for name, color in zip(_SIDE_NAMES, _SIDE_COLORS):
-            side = getattr(self, name)
+        sides = self._sides()
+        for name, color, side in zip(_SIDE_NAMES, _SIDE_COLORS, sides):
             if len(side.arcs) > 1:
                 raise ColorMismatch(
                     f"{name} must have at most one through-arc")
             if side.arcs and side.arcs[0].color != color:
                 raise ColorMismatch(
                     f"{name} through-arc must be colored {color}")
-        for tangle, which in ((self.inner, "inner"), (self.outer, "outer")):
+        ends = ((self.inner, "inner"), (self.outer, "outer"))
+        for tangle, which in ends:
             for arc in tangle.arcs:
                 if arc.color not in (RED, BLUE):
                     raise ColorMismatch(
                         f"{which} arcs must be red or blue, got {arc.color!r}")
-        for color in (RED, BLUE):
-            present = self._color_present(color)
-            sides = [getattr(self, name)
-                     for name, c in zip(_SIDE_NAMES, _SIDE_COLORS) if c == color]
-            for tangle, which in ((self.inner, "inner"), (self.outer, "outer")):
-                if (_arc_of_color(tangle, color) is not None) != present:
+        # A side's through-arc has its side's color (checked above), so a
+        # color is present when either of its two sides has an arc.
+        for color, plus, minus in ((RED, sides[0], sides[2]),
+                                   (BLUE, sides[1], sides[3])):
+            present = bool(plus.arcs or minus.arcs)
+            for tangle, which in ends:
+                count = [arc.color for arc in tangle.arcs].count(color)
+                if count > 1:
+                    raise ColorMismatch(f"expected at most one {color} arc")
+                if (count == 1) != present:
                     raise ColorMismatch(
                         f"{which} tangle must have a {color} arc exactly when "
                         "the matching sides do")
-            if any(bool(s.arcs) != present for s in sides):
+            if bool(plus.arcs) != bool(minus.arcs):
                 raise ColorMismatch(
                     f"the two {color} sides must both be present or absent")
 
-    def _color_present(self, color: str) -> bool:
-        return any(s.arcs and s.arcs[0].color == color
-                   for s, c in zip(self._sides(), _SIDE_COLORS) if c == color)
-
     def _sides(self):
-        return tuple(getattr(self, name) for name in _SIDE_NAMES)
+        return (self.side_plus_red, self.side_plus_blue,
+                self.side_minus_red, self.side_minus_blue)
 
 
 def trivial_side(color: str) -> ColoredTangle:
@@ -128,6 +124,12 @@ def trivial_side(color: str) -> ColoredTangle:
         top=(Slot("t", 0, "in"),),
         bottom=(Slot("t", 1, "out"),),
     )
+
+
+# The sides of every model slice; tangles are immutable, so one of each
+# color serves them all.
+_TRIVIAL_RED = trivial_side(RED)
+_TRIVIAL_BLUE = trivial_side(BLUE)
 
 
 def clasped_side(color: str, clasps: int = 0,
@@ -169,10 +171,10 @@ def model_slice(i: int, j: int) -> ConcordanceSlice:
     return ConcordanceSlice(
         inner=half_twist_tangle(i, (RED, BLUE)),
         outer=reverse_mirror(half_twist_tangle(j, (RED, BLUE))),
-        side_plus_red=trivial_side(RED),
-        side_plus_blue=trivial_side(BLUE),
-        side_minus_red=trivial_side(RED),
-        side_minus_blue=trivial_side(BLUE),
+        side_plus_red=_TRIVIAL_RED,
+        side_plus_blue=_TRIVIAL_BLUE,
+        side_minus_red=_TRIVIAL_RED,
+        side_minus_blue=_TRIVIAL_BLUE,
     )
 
 
@@ -185,10 +187,8 @@ def closure_of_side(t: ColoredTangle) -> BicoloredLink:
     """
     if len(t.arcs) != 1:
         raise DiagramError("a side closure needs exactly one through-arc")
-    arc = t.arcs[0]
-    comps = (LinkComponent(arc.id, arc.color),) + tuple(
-        LinkComponent(s.id, s.color) for s in t.closed)
-    return BicoloredLink(comps, t.crossings)
+    return BicoloredLink(tuple([LinkComponent(s.id, s.color)
+                                for s in t.arcs + t.closed]), t.crossings)
 
 
 def side_linking(t: ColoredTangle) -> int:
@@ -198,33 +198,30 @@ def side_linking(t: ColoredTangle) -> int:
     return bicolored_linking(closure_of_side(t))
 
 
+# The component each color's arcs fuse into, shared by every merge.
+_FUSED = {color: LinkComponent(color, color) for color in (RED, BLUE)}
+
+
 def _merge_regions(regions) -> BicoloredLink:
     """Merge tangles into one closed diagram: arcs fuse into one
     component per color, closed components are kept with region-prefixed
     ids.  Each distinct crossing instance of a region is renamed once."""
-    components = []
-    present = set()
-    for _, tangle in regions:
-        for arc in tangle.arcs:
-            present.add(arc.color)
-    for color in (RED, BLUE):
-        if color in present:
-            components.append(LinkComponent(color, color))
-    rename = {}
+    present, closed, crossings = set(), [], []
     for label, tangle in regions:
-        for arc in tangle.arcs:
-            rename[(label, arc.id)] = arc.color
+        rename = {arc.id: arc.color for arc in tangle.arcs}
+        present.update(rename.values())
         for s in tangle.closed:
-            new = f"{label}.{s.id}"
-            rename[(label, s.id)] = new
-            components.append(LinkComponent(new, s.color))
-    crossings = []
-    for label, tangle in regions:
-        def image(c, label=label):
-            return Crossing(rename[(label, c.over)], rename[(label, c.under)],
-                            c.sign)
-        crossings.extend(_map_crossings(tangle.crossings, image))
-    return BicoloredLink(tuple(components), tuple(crossings))
+            new = rename[s.id] = f"{label}.{s.id}"
+            closed.append(LinkComponent(new, s.color))
+        if tangle.crossings:
+            crossings.extend(_map_crossings(tangle.crossings,
+                                            partial(_renamed, rename)))
+    colors = [_FUSED[color] for color in (RED, BLUE) if color in present]
+    return BicoloredLink(tuple(colors + closed), tuple(crossings))
+
+
+def _renamed(rename: dict, c: Crossing) -> Crossing:
+    return Crossing(rename[c.over], rename[c.under], c.sign)
 
 
 def assemble_link(s: ConcordanceSlice) -> BicoloredLink:

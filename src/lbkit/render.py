@@ -144,33 +144,35 @@ def _kirby_text(d: KirbyDiagram) -> str:
 
 
 def _kirby_svg(d: KirbyDiagram) -> str:
-    count = len(d.dotted) + len(d.two_handles)
-    width = max(60 * count + 40, 80)
-    root = _svg_root(width, 110)
-    x = 50
-    for did in d.dotted:
-        ET.SubElement(root, "circle", {
-            "class": "dotted", "stroke": "#333", "fill": "none",
-            "stroke-dasharray": "5 3",
-            "cx": str(x), "cy": "50", "r": "18",
-        })
+    dotted = {"class": "dotted", "stroke": "#333", "fill": "none",
+              "stroke-dasharray": "5 3"}
+    curve = {"class": "curve", "stroke": "#26c", "fill": "none"}
+    items = [(did, dotted, None) for did in d.dotted]
+    items += [(h.id, curve, str(h.framing)) for h in d.two_handles]
+    return _circle_row_svg(110, 50, 18, 95, items)
+
+
+def _circle_row_svg(height: int, cy: int, r: int, label_y: int,
+                    items) -> str:
+    """One row of labelled circles, 60 apart from x = 50.
+
+    Each item is (label, circle attributes ahead of the position, framing
+    text drawn above the circle or None); labels sit at ``label_y``.
+    """
+    root = _svg_root(max(60 * len(items) + 40, 80), height)
+    for k, (label, attributes, above) in enumerate(items):
+        x = str(50 + 60 * k)
+        ET.SubElement(root, "circle", {**attributes, "cx": x, "cy": str(cy),
+                                       "r": str(r)})
+        if above is not None:
+            ET.SubElement(root, "text", {
+                "class": "framing",
+                "x": x, "y": "24", "font-size": "11", "text-anchor": "middle",
+            }).text = above
         ET.SubElement(root, "text", {
-            "x": str(x), "y": "95", "font-size": "10", "text-anchor": "middle",
-        }).text = did
-        x += 60
-    for h in d.two_handles:
-        ET.SubElement(root, "circle", {
-            "class": "curve", "stroke": "#26c", "fill": "none",
-            "cx": str(x), "cy": "50", "r": "18",
-        })
-        ET.SubElement(root, "text", {
-            "class": "framing",
-            "x": str(x), "y": "24", "font-size": "11", "text-anchor": "middle",
-        }).text = str(h.framing)
-        ET.SubElement(root, "text", {
-            "x": str(x), "y": "95", "font-size": "10", "text-anchor": "middle",
-        }).text = h.id
-        x += 60
+            "x": x, "y": str(label_y), "font-size": "10",
+            "text-anchor": "middle",
+        }).text = label
     return _svg_text(root)
 
 
@@ -231,18 +233,8 @@ def _annular_svg(link: AnnularLink) -> str:
 
 
 def _link_svg(link: BicoloredLink) -> str:
-    count = len(link.components)
-    width = max(60 * count + 40, 80)
-    root = _svg_root(width, 100)
-    x = 50
-    for comp in link.components:
-        ET.SubElement(root, "circle", {
-            "class": f"component {_color_class(comp.color)}",
-            "stroke": _STROKE.get(comp.color, "#333"), "fill": "none",
-            "cx": str(x), "cy": "45", "r": "16",
-        })
-        ET.SubElement(root, "text", {
-            "x": str(x), "y": "85", "font-size": "10", "text-anchor": "middle",
-        }).text = comp.id
-        x += 60
-    return _svg_text(root)
+    return _circle_row_svg(100, 45, 16, 85, [
+        (comp.id, {"class": f"component {_color_class(comp.color)}",
+                   "stroke": _STROKE.get(comp.color, "#333"), "fill": "none"},
+         None)
+        for comp in link.components])

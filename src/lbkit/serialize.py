@@ -75,17 +75,25 @@ def kirby_to_obj(d: KirbyDiagram) -> dict:
     }
 
 
+def _array(value, what: str) -> tuple:
+    if not isinstance(value, list):
+        raise FormatError(f"{what} must be a JSON array")
+    return tuple(value)
+
+
 def obj_to_kirby(obj) -> KirbyDiagram:
     _require(obj, "kirby diagram", ("dotted", "two_handles", "linking", "h3", "h4"))
     handles = []
-    for entry in obj["two_handles"]:
+    for k, entry in enumerate(_array(obj["two_handles"], "two_handles")):
         _require(entry, "two-handle", ("id", "framing", "winding"))
-        handles.append(TwoHandle(entry["id"], entry["framing"],
-                                 tuple(entry["winding"])))
+        handles.append(TwoHandle(
+            entry["id"], entry["framing"],
+            _array(entry["winding"], f"two_handles[{k}].winding")))
     return KirbyDiagram(
-        tuple(obj["dotted"]),
+        _array(obj["dotted"], "dotted"),
         tuple(handles),
-        tuple(tuple(row) for row in obj["linking"]),
+        tuple(_array(row, f"linking[{k}]")
+              for k, row in enumerate(_array(obj["linking"], "linking"))),
         obj["h3"],
         obj["h4"],
     )

@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lbkit.diagrams import (
     RED, BLUE, PURPLE,
@@ -392,3 +392,154 @@ class TestReidemeister:
                 except BadSite:
                     continue
             assert bicolored_linking(link) == target
+
+
+# --------------------------------------------------------------------------
+# the tangle and link validators against their first versions
+
+
+def reference_tangle_check(arcs, closed, crossings, top, bottom):
+    """The ColoredTangle checks as first written, one temporary list or
+    set per check; the validator must accept and reject as this does."""
+    ids = [s.id for s in arcs + closed]
+    if len(set(ids)) != len(ids):
+        raise DiagramError("strand ids must be unique")
+    known = set(ids)
+    arc_ids = {s.id for s in arcs}
+    for c in crossings:
+        if c.over not in known or c.under not in known:
+            raise DiagramError("crossing references unknown strand")
+    ends = [(slot.arc, slot.end) for slot in top + bottom]
+    if len(set(ends)) != len(ends):
+        raise DiagramError("an arc end may occupy only one slot")
+    if set(ends) != {(a, e) for a in arc_ids for e in (0, 1)}:
+        raise DiagramError("every arc must have both ends in slots, "
+                           "and only arcs may have endpoints")
+
+
+def reference_link_check(components, crossings):
+    """The BicoloredLink checks as first written."""
+    ids = [c.id for c in components]
+    if len(set(ids)) != len(ids):
+        raise DiagramError("component ids must be unique")
+    known = set(ids)
+    for c in crossings:
+        if c.over not in known or c.under not in known:
+            raise DiagramError("crossing references unknown component")
+
+
+def check_outcome(build):
+    """None when ``build`` succeeds, else the message of its DiagramError."""
+    try:
+        build()
+    except DiagramError as err:
+        return str(err)
+    return None
+
+
+STRAND_IDS = ("a", "b", "c", "d", "e")
+any_color = st.sampled_from((RED, BLUE, PURPLE, None))
+TANGLE_FAULTS = ("none", "duplicate id", "unknown strand", "missing end",
+                 "extra end", "duplicate end", "closed strand end")
+
+
+def insert(draw, items, item):
+    items.insert(draw(st.integers(0, len(items))), item)
+
+
+@st.composite
+def tangle_cases(draw):
+    """(fault, applied, parts): the parts of a valid tangle, as lists, with
+    at most one fault put in; ``applied`` says whether it was."""
+    ids = draw(st.permutations(STRAND_IDS))
+    n_arcs, n_closed = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    arcs = [Strand(sid, draw(any_color)) for sid in ids[:n_arcs]]
+    closed = [Strand(sid, draw(any_color))
+              for sid in ids[n_arcs:n_arcs + n_closed]]
+    names = ids[:n_arcs + n_closed]
+    crossings = []
+    if names:
+        name = st.sampled_from(names)
+        crossings = [Crossing(draw(name), draw(name), draw(st.sampled_from((1, -1))))
+                     for _ in range(draw(st.integers(0, 4)))]
+    ends = draw(st.permutations([(a.id, e) for a in arcs for e in (0, 1)]))
+    slots = [Slot(arc, end, draw(st.sampled_from(("in", "out"))))
+             for arc, end in ends]
+    cut = draw(st.integers(0, len(slots)))
+    top, bottom = slots[:cut], slots[cut:]
+    wall = draw(st.sampled_from((top, bottom)))
+    fault = draw(st.sampled_from(TANGLE_FAULTS))
+    applied = True
+    if fault == "duplicate id" and names:
+        insert(draw, draw(st.sampled_from((arcs, closed))),
+               Strand(draw(st.sampled_from(names)), None))
+    elif fault == "unknown strand":
+        known = draw(st.sampled_from(names or ("zz",)))
+        pair = draw(st.sampled_from((("zz", known), (known, "zz"))))
+        insert(draw, crossings, Crossing(*pair, 1))
+    elif fault == "missing end" and wall:
+        del wall[draw(st.integers(0, len(wall) - 1))]
+    elif fault == "extra end":
+        insert(draw, wall, Slot(draw(st.sampled_from(("zz", *names))),
+                                draw(st.sampled_from((0, 1))), "in"))
+    elif fault == "duplicate end" and slots:
+        slot = draw(st.sampled_from(slots))
+        insert(draw, wall, replace(slot, orientation=draw(
+            st.sampled_from(("in", "out")))))
+    elif fault == "closed strand end" and closed:
+        insert(draw, wall, Slot(closed[0].id, 0, "out"))
+    else:
+        applied = fault == "none"
+    return fault, applied, (arcs, closed, crossings, top, bottom)
+
+
+LINK_FAULTS = ("none", "duplicate id", "unknown component")
+
+
+@st.composite
+def link_cases(draw):
+    """(fault, parts) of a closed link, as lists, with at most one fault."""
+    ids = draw(st.permutations(STRAND_IDS))[:draw(st.integers(0, 4))]
+    components = [LinkComponent(cid, draw(any_color)) for cid in ids]
+    crossings = []
+    if ids:
+        name = st.sampled_from(ids)
+        crossings = [Crossing(draw(name), draw(name), 1)
+                     for _ in range(draw(st.integers(0, 4)))]
+    fault = draw(st.sampled_from(LINK_FAULTS))
+    if fault == "duplicate id" and ids:
+        insert(draw, components, LinkComponent(draw(st.sampled_from(ids))))
+    elif fault == "unknown component":
+        insert(draw, crossings, Crossing(draw(st.sampled_from(ids or ("zz",))),
+                                         "zz", -1))
+    else:
+        fault = "none"
+    return fault, (components, crossings)
+
+
+class TestValidatorsMatchReference:
+    @settings(max_examples=400)
+    @given(tangle_cases())
+    def test_tangle_checks(self, case):
+        fault, applied, parts = case
+        expected = check_outcome(
+            lambda: reference_tangle_check(*map(tuple, parts)))
+        assert check_outcome(lambda: ColoredTangle(*parts)) == expected
+        assert (expected is None) == (fault == "none" or not applied)
+
+    @settings(max_examples=200)
+    @given(link_cases())
+    def test_link_checks(self, case):
+        fault, parts = case
+        expected = check_outcome(
+            lambda: reference_link_check(*map(tuple, parts)))
+        assert check_outcome(lambda: BicoloredLink(*parts)) == expected
+        assert (expected is None) == (fault == "none")
+
+    def test_sequences_become_tuples(self):
+        t = ColoredTangle([Strand("a")], [], [Crossing("a", "a", 1)],
+                          [Slot("a", 0, "in")], [Slot("a", 1, "out")])
+        link = BicoloredLink([LinkComponent("a")], [Crossing("a", "a", 1)])
+        for value in (t.arcs, t.closed, t.crossings, t.top, t.bottom,
+                      link.components, link.crossings):
+            assert type(value) is tuple

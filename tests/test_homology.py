@@ -165,6 +165,23 @@ class TestAbelianGroup:
         with pytest.raises(ValueError):
             AbelianGroup(1, (2, bad))
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, False, "3", None])
+    def test_element_operations_refuse_non_int_coordinates(self, bad):
+        g = AbelianGroup(1, (4,))
+        for op in (g.reduce, g.order, lambda x: g.add(x, (0, 0)),
+                   lambda x: g.add((0, 0), x)):
+            with pytest.raises(ValueError, match="coordinates must be int"):
+                op((bad, 0))
+            with pytest.raises(ValueError, match="coordinates must be int"):
+                op((0, bad))
+
+    def test_element_operations_keep_exact_ints(self):
+        g = AbelianGroup(1, (4,))
+        assert g.reduce([6, -3]) == (2, -3)
+        assert g.add((3, 1), (2, 1)) == (1, 2)
+        assert g.order((2, 0)) == 2
+        assert g.order((1, 1)) is None
+
     def test_cokernel_canonical_forms(self):
         assert cokernel(IntMatrix(2, 2, ((1, 0), (0, 1)))) == AbelianGroup(0)
         assert cokernel(IntMatrix(2, 2, ((0, 0), (0, 0)))) == AbelianGroup(2)

@@ -1,6 +1,10 @@
+from collections import Counter
+from dataclasses import is_dataclass
+
 import pytest
 from hypothesis import given, strategies as st
 
+from lbkit import covers, diagrams, homology, homotopy, kirby, obstruction
 from lbkit.homology import AbelianGroup
 from lbkit.homotopy import (
     CrossedClass, Cycle, FingerMove, GroupMismatch, HomotopyTrace,
@@ -253,6 +257,49 @@ class TestClassifier:
         assert r.equivalent and not r.homotopic
         assert not r.topologically_concordant and not r.smoothly_isotopic
         assert "wirings differ" in r.evidence["homotopic"]
+
+    def test_unreachable_isotopy_branch_is_an_invariant_error(self,
+                                                              monkeypatch):
+        # In this family fq of the k-step homotopy is k mod 2, which is
+        # also the linking parity, so a concordant pair always gets an
+        # isotopy certificate.  Force the criterion to fail to reach the
+        # branch where the two disagree.
+        monkeypatch.setattr(homotopy, "lightbulb_check",
+                            lambda *args, **kwargs: False)
+        with pytest.raises(InvalidTrace,
+                           match="fq and the linking parity disagree"):
+            classify(0, 4)
+        with pytest.raises(InvalidTrace):
+            classify(3, -1, closed=True)
+        # a non-concordant pair never reaches it
+        assert classify(0, 2).evidence["smoothly_isotopic"] == \
+            "not concordant"
+
+    def test_crossed_class_refuses_non_int_elements(self):
+        c = crossed_class(twist_homotopy(0))
+        assert c.of((3,)) == 1
+        for bad in (1.0, True, "1"):
+            with pytest.raises(ValueError, match="coordinates must be int"):
+                c.of((bad,))
+
+    def test_even_pair_builds_at_most_50_dataclass_instances(self,
+                                                           monkeypatch):
+        """The tangle parts every model slice shares are module constants,
+        so an even pair builds few objects (86 before they were)."""
+        built = Counter()
+        for module in (covers, diagrams, homology, homotopy, kirby,
+                       obstruction):
+            for cls in list(vars(module).values()):
+                if (isinstance(cls, type) and is_dataclass(cls)
+                        and cls.__module__ == module.__name__):
+                    def counting_init(self, *args, init=cls.__init__,
+                                      name=cls.__name__, **kwargs):
+                        built[name] += 1
+                        init(self, *args, **kwargs)
+                    monkeypatch.setattr(cls, "__init__", counting_init)
+        r = classify(0, 2)
+        assert not r.topologically_concordant
+        assert 0 < sum(built.values()) <= 50, built
 
     def test_relation_chain_is_enforced(self):
         with pytest.raises(ValueError):

@@ -395,6 +395,71 @@ class TestCliBounds:
             f"got {MAX_COVER_DEGREE + 1}"
 
 
+def _set(path, value):
+    """A change to a diagram object: set the entry at ``path`` to
+    ``value``."""
+    def change(obj):
+        *outer, last = path
+        for key in outer:
+            obj = obj[key]
+        obj[last] = value
+    return change
+
+
+# Kirby JSON that once exited 0 with a coerced value or ended in a
+# TypeError traceback; each must now be an error object with exit 1.
+KIRBY_PROBES = {
+    "float framing": [_set(("two_handles", 0, "framing"), 3.0),
+                      _set(("linking", 1, 1), 3.0)],
+    "bool framing": [_set(("two_handles", 0, "framing"), False),
+                     _set(("linking", 1, 1), False)],
+    "string winding": [_set(("two_handles", 0, "winding"), ["2"])],
+    "integer handle id": [_set(("two_handles", 0, "id"), 7)],
+    "list dotted id": [_set(("dotted",), [[1]])],
+    "string h3": [_set(("h3",), "0")],
+    "float h4": [_set(("h4",), 0.0)],
+    "float linking entry": [_set(("linking", 0, 3), 0.0),
+                            _set(("linking", 3, 0), 0.0)],
+    "integer linking": [_set(("linking",), 5)],
+    "integer linking row": [_set(("linking", 2), 5)],
+    "integer winding": [_set(("two_handles", 1, "winding"), 2)],
+    "string dotted": [_set(("dotted",), "dot")],
+    "integer two_handles": [_set(("two_handles",), 3)],
+}
+
+
+class TestKirbyInputProbes:
+    @pytest.mark.parametrize("name", list(KIRBY_PROBES))
+    @pytest.mark.parametrize("verb", ["homology", "boundary"])
+    def test_probe_is_an_error_object(self, capsys, monkeypatch, name, verb):
+        obj = kirby_to_obj(build_diagram(3, 2))
+        for change in KIRBY_PROBES[name]:
+            change(obj)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
+        code, out, err = run_cli(capsys, verb, "-")
+        assert code == 1
+        assert set(json.loads(out)) == {"error"}
+        assert err == ""
+
+    def test_unchanged_diagram_still_loads(self, capsys, monkeypatch):
+        payload = dumps(kirby_to_obj(build_diagram(3, 2)))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+        code, out, _ = run_cli(capsys, "homology", "-")
+        assert code == 0
+        assert json.loads(out) == {"free_rank": 0, "torsion": [2]}
+
+    def test_messages_name_the_field(self):
+        obj = kirby_to_obj(build_diagram(3, 2))
+        _set(("linking", 2), 5)(obj)
+        with pytest.raises(FormatError,
+                           match=r"linking\[2\] must be a JSON array"):
+            load_diagram(json.dumps(obj))
+        obj = kirby_to_obj(build_diagram(3, 2))
+        _set(("two_handles", 0, "framing"), 3.0)(obj)
+        with pytest.raises(ValueError, match="framing of 'upper' must be int"):
+            load_diagram(json.dumps(obj))
+
+
 def _subparser(parser, verb):
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
@@ -410,6 +475,49 @@ def run_cli_exit(capsys, argv):
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# (argv, stdin text or None) of each call of an in-process sequence: every
+# verb, usage errors (exit 2), domain errors (exit 1) and help, with verbs
+# run again after their own errors.
+_FAMILY_JSON = dumps(kirby_to_obj(build_diagram(3, 2)))
+_TANGLE_JSON = dumps(tangle_to_obj(half_twist_tangle(3, (RED, BLUE))))
+MIXED_SEQUENCE = [
+    (["build", "--p", "3", "--q", "2"], None),
+    (["homology", "-"], _FAMILY_JSON),
+    (["boundary", "--p", "1", "--q", "0"], None),
+    (["cover", "--p", "3", "--q", "2"], None),
+    (["double", "--p", "1", "--q", "-1"], None),
+    (["slide", "--p", "1", "--q", "5", "--a", "lower", "--b", "dual",
+      "--eps", "-1"], None),
+    (["classify", "--i=0", "--j=2"], None),
+    (["classify", "--i=0"], None),
+    (["classify", "--i=0", "--j=2", "--bogus"], None),
+    (["classify", "--i=0", "--j=2", "extra"], None),
+    (["classify", "--i", "-2", "--j", "0", "--clo"], None),
+    (["classify", "--i=10001", "--j=0"], None),
+    (["classify", "--i=-3", "--j=1", "--closed"], None),
+    (["table", "--range=3:1"], None),
+    (["table", "--range=-1:1"], None),
+    (["table", "--range=-1:1", "--closed"], None),
+    (["obstruct", "--i=0"], None),
+    (["obstruct", "--i=0", "--j=1"], None),
+    (["obstruct", "--i=2", "--j=0", "--closed"], None),
+    (["homotopy-class", "--i=0", "--j=6"], None),
+    (["render", "-", "--format=svg"], _TANGLE_JSON),
+    (["render", "--p", "0", "--q", "0", "--format", "pdf"], None),
+    (["slide", "--p", "0", "--q", "0", "--a", "x", "--b", "y", "--eps", "2"],
+     None),
+    (["homology", "-", "--p", "1", "--q", "1"], _FAMILY_JSON),
+    (["homology", "-"], "{not json"),
+    (["cover", "--p", "0", "--q", "0", "--degree", "3"], None),
+    (["nope"], None),
+    ([], None),
+    (["-h"], None),
+    (["classify", "-h"], None),
+    (["render", "--help"], None),
+    (["classify", "--i=4", "--j=0"], None),
+]
 
 
 class TestOneVerbParser:
@@ -429,6 +537,22 @@ class TestOneVerbParser:
             _subparser(full, verb).format_help()
         assert _subparser(one, verb).format_usage() == \
             _subparser(full, verb).format_usage()
+
+    def test_each_parser_is_built_once(self):
+        for verb in (None, *_VERBS):
+            assert _build_parser(verb) is _build_parser(verb)
+        assert _build_parser("classify") is not _build_parser("table")
+
+    @pytest.mark.parametrize("extra", [["--bogus"], ["extra"],
+                                       ["--bogus=1", "x"]])
+    def test_unknown_arguments_are_reported_by_the_full_parser(
+            self, capsys, extra):
+        code, out, err = run_cli_exit(capsys,
+                                      ["classify", "--i=0", "--j=2", *extra])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: lbkit [-h] VERB ...\n")
+        assert err.endswith(
+            f"lbkit: error: unrecognized arguments: {' '.join(extra)}\n")
 
     def test_one_verb_parser_holds_only_that_verb(self):
         with pytest.raises(KeyError):
@@ -480,15 +604,20 @@ class TestOneVerbParser:
         monkeypatch.setattr(sys, "argv", ["lbkit", "-h"])
         assert run_cli_exit(capsys, None) == run_cli_exit(capsys, ["-h"])
 
-    def test_calls_in_a_row_match_separate_processes(self, capsys):
-        calls = [["classify", "--i=0", "--j=2"],
-                 ["table", "--range=-1:1"],
-                 ["obstruct", "--i=0"],
-                 ["homotopy-class", "--i=0", "--j=6"]]
-        in_a_row = [run_cli_exit(capsys, argv) for argv in calls]
-        for argv, got in zip(calls, in_a_row):
+    def test_calls_in_a_row_match_separate_processes(self, capsys,
+                                                     monkeypatch):
+        """One process running main over the mixed sequence gives each
+        call's stdout, stderr and exit code as a fresh python -m lbkit."""
+        monkeypatch.setenv("COLUMNS", "80")
+        in_a_row = []
+        for argv, stdin in MIXED_SEQUENCE:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+            in_a_row.append(run_cli_exit(capsys, argv))
+        assert {got[0] for got in in_a_row} == {0, 1, 2}
+        for (argv, stdin), got in zip(MIXED_SEQUENCE, in_a_row):
             proc = subprocess.run([sys.executable, "-m", "lbkit", *argv],
-                                  capture_output=True, text=True)
+                                  input=stdin or "", capture_output=True,
+                                  text=True)
             assert got == (proc.returncode, proc.stdout, proc.stderr), argv
 
 

@@ -77,6 +77,38 @@ class TestValidation:
         with pytest.raises(DiagramError):
             KirbyDiagram(("d",), (TwoHandle("h", 0, (2,)),), ((0, 1), (1, 0)))
 
+    @pytest.mark.parametrize("bad", [3.0, 2.5, True, "3", None])
+    def test_framing_and_winding_must_be_ints(self, bad):
+        with pytest.raises(DiagramError, match="framing of 'h' must be int"):
+            TwoHandle("h", bad, (1,))
+        with pytest.raises(DiagramError, match="winding of 'h' must be int"):
+            TwoHandle("h", 0, (bad,))
+        with pytest.raises(DiagramError, match="winding of 'h' must be int"):
+            TwoHandle("h", 0, (0, bad))
+
+    @pytest.mark.parametrize("bad", [7, None, ("h",)])
+    def test_ids_must_be_str(self, bad):
+        with pytest.raises(DiagramError, match="ids must be str"):
+            TwoHandle(bad, 0, (1,))
+        with pytest.raises(DiagramError, match="ids must be str"):
+            KirbyDiagram((bad,), (), ((0,),))
+
+    @pytest.mark.parametrize("bad", [1.0, True, "1"])
+    def test_linking_entries_and_counts_must_be_ints(self, bad):
+        h = TwoHandle("h", 1, (1,))
+        with pytest.raises(DiagramError, match="linking entries must be int"):
+            KirbyDiagram(("d",), (h,), ((0, bad), (1, 1)))
+        with pytest.raises(DiagramError, match="handle counts must be int"):
+            KirbyDiagram(("d",), (h,), ((0, 1), (1, 1)), three_handles=bad)
+        with pytest.raises(DiagramError, match="handle counts must be int"):
+            KirbyDiagram(("d",), (h,), ((0, 1), (1, 1)), four_handles=bad)
+
+    def test_sequences_become_tuples_without_coercion(self):
+        h = TwoHandle("h", 1, [1])
+        d = KirbyDiagram(["d"], [h], [[0, 1], [1, 1]])
+        assert h.winding == (1,)
+        assert d.dotted == ("d",) and d.linking == ((0, 1), (1, 1))
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DiagramError):
             KirbyDiagram(("h",), (TwoHandle("h", 0, (0,)),), ((0, 0), (0, 0)))

@@ -3,11 +3,11 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import lbkit
 from lbkit.diagrams import (
-    RED, BLUE, BicoloredLink, ColorMismatch, ColoredTangle, Crossing,
+    RED, BLUE, PURPLE, BicoloredLink, ColorMismatch, ColoredTangle, Crossing,
     DiagramError, LinkComponent, Slot, Strand,
     bicolored_linking, empty_tangle, half_twist_tangle, reverse_mirror,
     swap_colors,
@@ -159,6 +159,88 @@ class TestSliceValidation:
                              empty_tangle(), empty_tangle())
         assert assemble_link(s) == BicoloredLink()
         assert slice_linking(s) == 0
+
+
+def reference_slice_check(inner, outer, *sides):
+    """The ConcordanceSlice checks as first written, in the side order
+    plus red, plus blue, minus red, minus blue; the validator must accept
+    and reject as this does."""
+    names = ("side_plus_red", "side_plus_blue",
+             "side_minus_red", "side_minus_blue")
+    colors = (RED, BLUE, RED, BLUE)
+    for name, color, side in zip(names, colors, sides):
+        if len(side.arcs) > 1:
+            raise ColorMismatch(f"{name} must have at most one through-arc")
+        if side.arcs and side.arcs[0].color != color:
+            raise ColorMismatch(f"{name} through-arc must be colored {color}")
+    for tangle, which in ((inner, "inner"), (outer, "outer")):
+        for arc in tangle.arcs:
+            if arc.color not in (RED, BLUE):
+                raise ColorMismatch(
+                    f"{which} arcs must be red or blue, got {arc.color!r}")
+    for color in (RED, BLUE):
+        present = any(s.arcs and s.arcs[0].color == color
+                      for s, c in zip(sides, colors) if c == color)
+        for tangle, which in ((inner, "inner"), (outer, "outer")):
+            arcs = [a for a in tangle.arcs if a.color == color]
+            if len(arcs) > 1:
+                raise ColorMismatch(f"expected at most one {color} arc")
+            if bool(arcs) != present:
+                raise ColorMismatch(
+                    f"{which} tangle must have a {color} arc exactly when "
+                    "the matching sides do")
+        if any(bool(s.arcs) != present
+               for s, c in zip(sides, colors) if c == color):
+            raise ColorMismatch(
+                f"the two {color} sides must both be present or absent")
+
+
+def _one_arc(color):
+    return ColoredTangle(arcs=(Strand("x", color),),
+                         top=(Slot("x", 0, "in"),), bottom=(Slot("x", 1, "out"),))
+
+
+CORE_POOL = [empty_tangle(), half_twist_tangle(2, (RED, BLUE)),
+             reverse_mirror(half_twist_tangle(-3, (RED, BLUE))),
+             half_twist_tangle(1, (BLUE, RED)), half_twist_tangle(0, (RED, RED)),
+             half_twist_tangle(1, (RED, None)),
+             half_twist_tangle(2, (PURPLE, BLUE)),
+             _one_arc(RED), _one_arc(BLUE), clasped_side(BLUE, 1)]
+RED_SIDES = [trivial_side(RED), clasped_side(RED, 2, 1), empty_tangle()]
+BLUE_SIDES = [trivial_side(BLUE), clasped_side(BLUE, -1), empty_tangle()]
+ANY_SIDE = (RED_SIDES + BLUE_SIDES
+            + [trivial_side(PURPLE), half_twist_tangle(1, (RED, BLUE)),
+               ColoredTangle(closed=(Strand("u", BLUE),))])
+
+
+def _outcome(build):
+    try:
+        build()
+    except ColorMismatch as err:
+        return str(err)
+    return None
+
+
+class TestSliceValidatorMatchesReference:
+    @settings(max_examples=400)
+    @given(st.one_of(
+        st.tuples(*[st.sampled_from(CORE_POOL)] * 2,
+                  *[st.sampled_from(ANY_SIDE)] * 4),
+        st.tuples(*[st.sampled_from(CORE_POOL[:3] + CORE_POOL[7:9])] * 2,
+                  st.sampled_from(RED_SIDES), st.sampled_from(BLUE_SIDES),
+                  st.sampled_from(RED_SIDES), st.sampled_from(BLUE_SIDES))))
+    def test_slice_checks(self, parts):
+        assert _outcome(lambda: ConcordanceSlice(*parts)) == \
+            _outcome(lambda: reference_slice_check(*parts))
+
+    def test_both_outcomes_occur(self):
+        model = model_slice(0, 2)
+        parts = (model.inner, model.outer, *model._sides())
+        assert _outcome(lambda: reference_slice_check(*parts)) is None
+        assert _outcome(lambda: ConcordanceSlice(*parts)) is None
+        bad = parts[:2] + (trivial_side(BLUE),) + parts[3:]
+        assert _outcome(lambda: ConcordanceSlice(*bad)) == \
+            _outcome(lambda: reference_slice_check(*bad)) is not None
 
 
 class TestAssembly:
