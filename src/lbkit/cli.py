@@ -281,10 +281,8 @@ _VERBS = {
 
 @functools.cache
 def _build_parser(verb=None) -> argparse.ArgumentParser:
-    """The parser with every verb, or with ``verb`` alone when given; a
-    one-verb parser also holds the verb's own parser as its ``parser``
-    default.  Parsing leaves a parser unchanged, so each is built once
-    per process."""
+    """The parser with every verb, or with ``verb`` alone when given (and
+    then its parser as the ``parser`` default); built once per verb."""
     parser = argparse.ArgumentParser(
         prog="lbkit",
         description="Handle diagrams, covers, and the twisted-sphere "
@@ -301,21 +299,24 @@ def _build_parser(verb=None) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+def _parse(argv) -> argparse.Namespace:
     # Use only the verb being run.  Anything else (no arguments, a
     # leading option, an unknown verb) gets the full parser, so help and
     # "invalid choice" errors still list every verb.
     verb = argv[0] if argv and argv[0] in _VERBS else None
     parser = _build_parser(verb)
-    args = extra = None
     if verb is not None:
-        # A full parse hands all after the verb to the verb's parser; parse
-        # in full only to report arguments the verb does not take.
-        args, extra = parser.get_default("parser").parse_known_args(argv[1:])
-    if args is None or extra:
-        args = parser.parse_args(argv)
+        # A full parse hands all after the verb to the verb's own parser;
+        # call it directly, and in full only to report unknown arguments.
+        args, extra = parser.get_default("parser").parse_known_args(
+            argv[1:], argparse.Namespace(verb=verb))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         text = args.func(args)
         if args.out:

@@ -387,11 +387,10 @@ def empty_tangle() -> ColoredTangle:
 
 
 # The immutable parts half-twist tangles share: walls (bottom by twist
-# parity), the red/blue lift's arcs, and the crossing pair of each sign.
+# parity) and the crossing pair of each sign.
 _TWIST_TOP = (Slot("a", 0, _IN), Slot("b", 0, _IN))
 _TWIST_BOTTOM = ((Slot("a", 1, _OUT), Slot("b", 1, _OUT)),
                  (Slot("b", 1, _OUT), Slot("a", 1, _OUT)))
-_LIFT_ARCS = (Strand("a", RED), Strand("b", BLUE))
 _POSITIVE_PAIR = (Crossing("a", "b", 1), Crossing("b", "a", 1))
 _NEGATIVE_PAIR = (Crossing("b", "a", -1), Crossing("a", "b", -1))
 
@@ -407,10 +406,7 @@ def half_twist_tangle(n: int, colors=(None, None)) -> ColoredTangle:
     rather than holding |n| copies.
     """
     ca, cb = colors
-    if (ca, cb) == (RED, BLUE):
-        arcs = _LIFT_ARCS
-    else:
-        arcs = (Strand("a", ca), Strand("b", cb))
+    arcs = (Strand("a", ca), Strand("b", cb))
     pair = _POSITIVE_PAIR if n > 0 else _NEGATIVE_PAIR
     k = abs(n)
     return ColoredTangle(arcs, (), pair * (k // 2) + pair[:k % 2],
@@ -439,13 +435,11 @@ def _flip(c: Crossing) -> Crossing:
     return Crossing(c.under, c.over, -c.sign)
 
 
+_REVERSE = {_IN: _OUT, _OUT: _IN}
+
+
 def _reversed(wall) -> tuple:
     return tuple(Slot(s.arc, s.end, _REVERSE[s.orientation]) for s in wall)
-
-
-# The walls of a twist tangle reversed, built once.
-_REVERSE = {_IN: _OUT, _OUT: _IN}
-_REVERSED_WALLS = {w: _reversed(w) for w in (_TWIST_TOP, *_TWIST_BOTTOM)}
 
 
 def reverse_mirror(t: ColoredTangle) -> ColoredTangle:
@@ -457,10 +451,8 @@ def reverse_mirror(t: ColoredTangle) -> ColoredTangle:
     flipped once, so the result shares its immutable crossings the way
     ``t`` does.
     """
-    return ColoredTangle(
-        t.arcs, t.closed, _map_crossings(t.crossings, _flip),
-        _REVERSED_WALLS.get(t.top) or _reversed(t.top),
-        _REVERSED_WALLS.get(t.bottom) or _reversed(t.bottom))
+    return ColoredTangle(t.arcs, t.closed, _map_crossings(t.crossings, _flip),
+                         _reversed(t.top), _reversed(t.bottom))
 
 
 class _Merge:

@@ -41,6 +41,13 @@ __all__ = [
 ]
 
 
+def _require_ints(values, what: str, error=ValueError) -> None:
+    """Refuse anything but exact ints (bools included) in ``values``."""
+    for x in values:
+        if type(x) is not int:
+            raise error(f"{what} must be int, not {type(x).__name__}")
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """A rectangular integer matrix stored as a tuple of row tuples."""
@@ -57,9 +64,7 @@ class IntMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix")
-            for x in row:
-                if type(x) is not int:
-                    raise ValueError(f"entries must be int, not {type(x).__name__}")
+            _require_ints(row, "entries")
 
     @classmethod
     def from_rows(cls, rows, cols=None):
@@ -261,19 +266,14 @@ class AbelianGroup:
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if type(self.free_rank) is not int:
-            raise ValueError(
-                f"free rank must be int, not {type(self.free_rank).__name__}")
+        _require_ints((self.free_rank,), "free rank")
         if self.free_rank < 0:
             raise ValueError("free rank must be non-negative")
         facs = tuple(self.invariant_factors)
         object.__setattr__(self, "invariant_factors", facs)
-        for d in facs:
-            if type(d) is not int:
-                raise ValueError(
-                    f"invariant factors must be int, not {type(d).__name__}")
-            if d < 2:
-                raise ValueError("invariant factors must be at least 2")
+        _require_ints(facs, "invariant factors")
+        if any(d < 2 for d in facs):
+            raise ValueError("invariant factors must be at least 2")
         for d, e in zip(facs, facs[1:]):
             if e % d:
                 raise ValueError("invariant factors must form a divisibility chain")
@@ -291,10 +291,7 @@ class AbelianGroup:
 
     def reduce(self, element) -> tuple[int, ...]:
         element = tuple(element)
-        for x in element:
-            if type(x) is not int:
-                raise ValueError(
-                    f"coordinates must be int, not {type(x).__name__}")
+        _require_ints(element, "coordinates")
         if len(element) != self.arity:
             raise ValueError(
                 f"element has {len(element)} coordinates, expected {self.arity}")

@@ -31,6 +31,7 @@ from .diagrams import (
     half_twist_tangle,
     normalize_to_writhe,
 )
+from .homology import _require_ints
 
 __all__ = [
     "TwoHandle", "KirbyDiagram", "SphereEmbedding",
@@ -40,11 +41,10 @@ __all__ = [
 ]
 
 
-def _require_ints(values, what: str) -> None:
-    """Refuse anything but exact ints (bools included) in ``values``."""
-    for x in values:
-        if type(x) is not int:
-            raise DiagramError(f"{what} must be int, not {type(x).__name__}")
+def _require_ids(ids) -> None:
+    for x in ids:
+        if not isinstance(x, str):
+            raise DiagramError(f"handle ids must be str, not {type(x).__name__}")
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,10 @@ class TwoHandle:
     winding: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.id, str):
-            raise DiagramError(
-                f"handle ids must be str, not {type(self.id).__name__}")
+        _require_ids((self.id,))
         object.__setattr__(self, "winding", tuple(self.winding))
-        _require_ints((self.framing,), f"framing of {self.id!r}")
-        _require_ints(self.winding, f"winding of {self.id!r}")
+        _require_ints((self.framing,), f"framing of {self.id!r}", DiagramError)
+        _require_ints(self.winding, f"winding of {self.id!r}", DiagramError)
 
 
 @dataclass(frozen=True)
@@ -88,15 +86,13 @@ class KirbyDiagram:
     def __post_init__(self):
         object.__setattr__(self, "dotted", tuple(self.dotted))
         object.__setattr__(self, "two_handles", tuple(self.two_handles))
-        for did in self.dotted:
-            if not isinstance(did, str):
-                raise DiagramError(
-                    f"handle ids must be str, not {type(did).__name__}")
+        _require_ids(self.dotted)
         object.__setattr__(
             self, "linking", tuple(tuple(row) for row in self.linking))
         for row in self.linking:
-            _require_ints(row, "linking entries")
-        _require_ints((self.three_handles, self.four_handles), "handle counts")
+            _require_ints(row, "linking entries", DiagramError)
+        _require_ints((self.three_handles, self.four_handles), "handle counts",
+                      DiagramError)
         ids = list(self.dotted) + [h.id for h in self.two_handles]
         if len(set(ids)) != len(ids):
             raise DiagramError("handle ids must be unique")

@@ -554,6 +554,19 @@ class TestOneVerbParser:
         assert err.endswith(
             f"lbkit: error: unrecognized arguments: {' '.join(extra)}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--i=0", "--j=2"],
+        ["classify", "--i", "-2", "--j", "0", "--clo", "--out", "x.json"],
+        ["table", "--range=-1:1"],
+        ["slide", "--p", "1", "--q", "5", "--a", "lower", "--b", "dual",
+         "--eps", "-1"],
+        ["render", "-", "--format=svg"],
+        ["homology", "--p", "1", "--q", "1"],
+    ])
+    def test_verb_parser_gives_the_full_parse_namespace(self, argv):
+        assert lbkit.cli._parse(argv) == \
+            _build_parser(argv[0]).parse_args(argv)
+
     def test_one_verb_parser_holds_only_that_verb(self):
         with pytest.raises(KeyError):
             _subparser(_build_parser("classify"), "table")
