@@ -54,6 +54,13 @@ def _sheet_label(j: int, m: int) -> str:
     return str(j)
 
 
+def _lookup(table: dict, key: str, what: str):
+    try:
+        return table[key]
+    except KeyError:
+        raise DiagramError(f"no {what} {key!r}") from None
+
+
 class _CoverMixin:
     @staticmethod
     def _row(rows, cid: str) -> tuple:
@@ -105,20 +112,22 @@ class CoverData(_CoverMixin):
             raise DiagramError("diagram-level cover data is for degree 2")
         if len(self.total.dotted) != len(self.base.dotted):
             raise DiagramError("the dotted circle must lift to one dotted circle")
+        sheet = {c: s for c, _, s in reversed(self.component_map)}  # first row wins
+        framing = {h.id: h.framing for h in self.total.two_handles}
+        bases = [b for _, b, _ in self.component_map]
         deck = dict(self.deck)
         for src, dst in self.deck:
             if deck.get(dst) != src:
                 raise DiagramError("deck map must be an involution")
-            if self.sheet_of(src) == self.sheet_of(dst):
+            if (_lookup(sheet, src, "cover component")
+                    == _lookup(sheet, dst, "cover component")):
                 raise DiagramError("deck map must exchange the sheet labels")
-            if self.total.handle(src).framing != self.total.handle(dst).framing:
+            if _lookup(framing, src, "2-handle") != _lookup(framing, dst, "2-handle"):
                 raise DiagramError("deck map must preserve framings")
         for h in self.base.two_handles:
-            expected = 2
-            lifts = self.lifts_of(h.id)
-            if len(lifts) != expected:
+            if bases.count(h.id) != 2:
                 raise DiagramError(
-                    f"base handle {h.id!r} must have exactly {expected} lifts")
+                    f"base handle {h.id!r} must have exactly 2 lifts")
 
 
 def cyclic_cover_link(link: AnnularLink, m: int) -> LinkCover:
@@ -198,48 +207,40 @@ def double_cover_diagram(d: KirbyDiagram) -> CoverData:
             raise DiagramError(
                 f"2-handle {comp.id!r} has odd winding; its lift is a single "
                 "component and does not fit the two-sheet diagram")
+    # the attaching ids are the 2-handle ids, so every lookup below hits
+    row = {hid: k for k, hid in
+           enumerate(list(d.dotted) + [h.id for h in d.two_handles])}
     for split in attaching.split:
         for comp in attaching.components:
-            if comp.winding != 2 and d.lk(split.id, comp.id) != 0:
+            if comp.winding != 2 and d.linking[row[split.id]][row[comp.id]] != 0:
                 raise DiagramError(
                     f"split component {split.id!r} links {comp.id!r}, whose "
                     "lifts cross sheets; same-sheet linking is undefined")
 
     cov = cyclic_cover_link(attaching, 2)
-    braid_ids = [c.id for c in cov.total.components]
-    split_ids = [c.id for c in cov.total.split]
-    order = braid_ids + split_ids
-    braid_set = set(braid_ids)
+    comps = cov.total.all_components()
+    nbraid = len(cov.total.components)
+    lift = {cid: (row[base], sheet) for cid, base, sheet in cov.component_map}
+    handles = tuple(TwoHandle(c.id, c.framing, (c.winding,)) for c in comps)
 
-    handles = tuple(
-        TwoHandle(cid,
-                  cov.total.component(cid).framing,
-                  (cov.total.component(cid).winding,))
-        for cid in order)
-
-    n = len(order)
+    n = len(comps)
     matrix = [[0] * (1 + n) for _ in range(1 + n)]
-    for k, cid in enumerate(order):
-        comp = cov.total.component(cid)
-        matrix[0][1 + k] = matrix[1 + k][0] = comp.winding
-        matrix[1 + k][1 + k] = comp.framing
     sums = cov.total._letter_table()
-    for x in range(n):
+    for x, a in enumerate(comps):
+        matrix[0][1 + x] = matrix[1 + x][0] = a.winding
+        matrix[1 + x][1 + x] = a.framing
+        base_a, sheet_a = lift[a.id]
         for y in range(x + 1, n):
-            a, b = order[x], order[y]
-            if a in braid_set and b in braid_set:
-                value = _half_sum(sums, a, b)
-            elif cov.sheet_of(a) != cov.sheet_of(b):
-                value = 0
-            elif cov.base_of(a) == cov.base_of(b):
-                value = 0
+            if y < nbraid:
+                value = _half_sum(sums, a.id, comps[y].id)
             else:
-                value = d.lk(cov.base_of(a), cov.base_of(b))
+                # the two lifts of one base component lie on different sheets
+                base_b, sheet_b = lift[comps[y].id]
+                value = d.linking[base_a][base_b] if sheet_a == sheet_b else 0
             matrix[1 + x][1 + y] = matrix[1 + y][1 + x] = value
 
-    total = KirbyDiagram(
-        d.dotted, handles, tuple(tuple(row) for row in matrix),
-        attaching=cov.total)
+    total = KirbyDiagram(d.dotted, handles, tuple(map(tuple, matrix)),
+                         attaching=cov.total)
     return CoverData(d, 2, total, cov.component_map, cov.deck)
 
 

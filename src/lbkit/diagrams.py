@@ -30,8 +30,11 @@ Conventions, fixed once and used by every module:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
+from functools import cached_property
+from itertools import chain, product
 from operator import attrgetter
+
+from .homology import _require_ints
 
 RED = "red"
 BLUE = "blue"
@@ -85,11 +88,16 @@ class BraidWord:
     letters: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        _require_ints((self.strands,), "braid strands", DiagramError)
         if self.strands < 1:
             raise DiagramError("a braid word needs at least one strand")
-        letters = tuple((int(p), int(s)) for p, s in self.letters)
+        letters = tuple(map(tuple, self.letters))
         object.__setattr__(self, "letters", letters)
-        for pos, sign in letters:
+        _require_ints(chain.from_iterable(letters), "braid letters", DiagramError)
+        for letter in dict.fromkeys(letters):
+            if len(letter) != 2:
+                raise DiagramError("braid letters must be (position, sign) pairs")
+            pos, sign = letter
             if not 1 <= pos <= self.strands - 1:
                 raise DiagramError(f"letter position {pos} out of range")
             if sign not in (1, -1):
@@ -126,6 +134,11 @@ class BraidWord:
 
     def cycles(self) -> tuple[frozenset, ...]:
         """Cycles of the closure permutation, sorted by smallest strand."""
+        return self._cycles
+
+    # once per word: every AnnularLink built over the word checks against them
+    @cached_property
+    def _cycles(self) -> tuple[frozenset, ...]:
         perm = self.permutation()
         seen = set()
         out = []
@@ -168,7 +181,9 @@ class AnnularComponent:
     kinks: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "strands", frozenset(int(s) for s in self.strands))
+        strands = tuple(self.strands)
+        _require_ints(strands, f"strands of {self.id!r}", DiagramError)
+        object.__setattr__(self, "strands", frozenset(strands))
         if self.color not in _COMPONENT_COLORS:
             raise DiagramError(f"unknown color {self.color!r}")
         if self.orientation not in (1, -1):
@@ -293,12 +308,13 @@ def normalize_to_writhe(link: AnnularLink) -> AnnularLink:
     require this because a diagram-level cover can only transport
     framings that are visible as writhe.
     """
-    sums = link._letter_table()
+    sums = link._letter_table()  # split components have no entry: kinks = framing
     comps = tuple(
-        replace(c, kinks=c.framing - sums.get((c.id, c.id), 0))
-        for c in link.components)
-    split = tuple(replace(c, kinks=c.framing) for c in link.split)
-    return AnnularLink(link.word, comps, split)
+        AnnularComponent(c.id, c.strands, c.color, c.framing, c.orientation,
+                         c.framing - sums.get((c.id, c.id), 0))
+        for c in link.all_components())
+    k = len(link.components)
+    return AnnularLink(link.word, comps[:k], comps[k:])
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,7 @@ square are computed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .diagrams import (
     PURPLE,
@@ -58,7 +59,8 @@ class TwoHandle:
 
     def __post_init__(self):
         _require_ids((self.id,))
-        object.__setattr__(self, "winding", tuple(self.winding))
+        if type(self.winding) is not tuple:
+            object.__setattr__(self, "winding", tuple(self.winding))
         _require_ints((self.framing,), f"framing of {self.id!r}", DiagramError)
         _require_ints(self.winding, f"winding of {self.id!r}", DiagramError)
 
@@ -84,13 +86,14 @@ class KirbyDiagram:
     attaching: AnnularLink | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "dotted", tuple(self.dotted))
-        object.__setattr__(self, "two_handles", tuple(self.two_handles))
+        if type(self.dotted) is not tuple:
+            object.__setattr__(self, "dotted", tuple(self.dotted))
+        if type(self.two_handles) is not tuple:
+            object.__setattr__(self, "two_handles", tuple(self.two_handles))
         _require_ids(self.dotted)
-        object.__setattr__(
-            self, "linking", tuple(tuple(row) for row in self.linking))
-        for row in self.linking:
-            _require_ints(row, "linking entries", DiagramError)
+        m = tuple(map(tuple, self.linking))
+        object.__setattr__(self, "linking", m)
+        _require_ints(chain.from_iterable(m), "linking entries", DiagramError)
         _require_ints((self.three_handles, self.four_handles), "handle counts",
                       DiagramError)
         ids = list(self.dotted) + [h.id for h in self.two_handles]
@@ -101,14 +104,11 @@ class KirbyDiagram:
             if len(h.winding) != d:
                 raise DiagramError(
                     f"handle {h.id!r} needs one winding entry per dotted circle")
-        m = self.linking
         if len(m) != d + n or any(len(row) != d + n for row in m):
             raise DiagramError("linking matrix must cover all dotted circles "
                                "and 2-handles")
-        for i in range(d + n):
-            for j in range(d + n):
-                if m[i][j] != m[j][i]:
-                    raise DiagramError("linking matrix must be symmetric")
+        if m != tuple(zip(*m)):
+            raise DiagramError("linking matrix must be symmetric")
         for i in range(d):
             for j in range(d):
                 if m[i][j] != 0:
@@ -166,6 +166,9 @@ def euler_characteristic(d: KirbyDiagram) -> int:
     return 1 - len(d.dotted) + len(d.two_handles) - d.three_handles + d.four_handles
 
 
+_FAMILY_WORD = BraidWord(4, ((1, -1), (3, 1)))
+
+
 def _family_attaching(first: TwoHandle, second: TwoHandle,
                       dual: TwoHandle) -> AnnularLink:
     """The family attaching link of these handles, normalized to writhe.
@@ -175,7 +178,7 @@ def _family_attaching(first: TwoHandle, second: TwoHandle,
     double covers come out framed f+1 and f-1.  ``dual`` is split.
     """
     return normalize_to_writhe(AnnularLink(
-        BraidWord(4, ((1, -1), (3, 1))),
+        _FAMILY_WORD,
         (AnnularComponent(first.id, frozenset({1, 2}), None, first.framing),
          AnnularComponent(second.id, frozenset({3, 4}), None, second.framing)),
         (AnnularComponent(dual.id, frozenset(), PURPLE, dual.framing),)))
@@ -195,7 +198,7 @@ def build_diagram(p: int, q: int) -> KirbyDiagram:
     The returned diagram carries its attaching link (already normalized
     to writhe) so that covers can be taken directly.
     """
-    p, q = int(p), int(q)
+    _require_ints((p, q), "family parameters", DiagramError)
     handles = (
         TwoHandle("upper", p, (2,)),
         TwoHandle("lower", q, (2,)),

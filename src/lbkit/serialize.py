@@ -133,10 +133,11 @@ def annular_to_obj(link: AnnularLink) -> dict:
 def obj_to_annular(obj) -> AnnularLink:
     _require(obj, "annular link", ("strands", "letters", "components"),
              ("split",))
-    word = BraidWord(obj["strands"],
-                     tuple(tuple(letter) for letter in obj["letters"]))
+    word = BraidWord(obj["strands"], tuple(
+        _array(letter, f"letters[{k}]")
+        for k, letter in enumerate(_array(obj["letters"], "letters"))))
     cycles = word.cycles()
-    entries = obj["components"]
+    entries = _array(obj["components"], "components")
     if len(entries) != len(cycles):
         raise FormatError(
             f"word has {len(cycles)} closure components, got "
@@ -144,7 +145,7 @@ def obj_to_annular(obj) -> AnnularLink:
     components = tuple(_obj_to_component(entry, cyc)
                        for entry, cyc in zip(entries, cycles))
     split = tuple(_obj_to_component(entry, frozenset())
-                  for entry in obj.get("split", ()))
+                  for entry in _array(obj.get("split", []), "split"))
     return AnnularLink(word, components, split)
 
 

@@ -100,6 +100,41 @@ class TestBraidWord:
         with pytest.raises(DiagramError):
             BraidWord(2, ((1, 2),))
 
+    @pytest.mark.parametrize("bad", [1.0, 2.5, True, "1", None])
+    def test_strands_and_letters_must_be_ints(self, bad):
+        with pytest.raises(DiagramError, match="braid strands must be int"):
+            BraidWord(bad, ())
+        with pytest.raises(DiagramError, match="braid letters must be int"):
+            BraidWord(3, ((1, 1), (bad, 1)))
+        with pytest.raises(DiagramError, match="braid letters must be int"):
+            BraidWord(3, ((1, bad),))
+
+    def test_no_letter_is_coerced(self):
+        with pytest.raises(DiagramError, match="must be int, not float"):
+            BraidWord(3, ((1.0, True),))
+        # equal to an earlier letter, so only the type tells them apart
+        with pytest.raises(DiagramError, match="must be int, not bool"):
+            BraidWord(3, ((1, 1), (1, True)))
+        with pytest.raises(DiagramError, match="must be int, not float"):
+            BraidWord(3, ((2, -1), (2.0, -1)))
+
+    def test_letters_must_be_pairs(self):
+        with pytest.raises(DiagramError, match="pairs"):
+            BraidWord(3, ((1, 1, 1),))
+        with pytest.raises(DiagramError, match="pairs"):
+            BraidWord(3, ((1, 1), (2,)))
+
+    def test_first_bad_letter_is_named(self):
+        with pytest.raises(DiagramError, match="position 5 out of range"):
+            BraidWord(3, ((1, 1), (5, 1), (1, 1), (7, 1)))
+        with pytest.raises(DiagramError, match=r"sign must be \+-1, got 3"):
+            BraidWord(3, ((2, 3), (1, 2)))
+
+    def test_letter_sequences_become_tuples(self):
+        w = BraidWord(3, [[1, 1], [2, -1]])
+        assert w.letters == ((1, 1), (2, -1))
+        assert all(type(letter) is tuple for letter in w.letters)
+
     def test_permutation_of_family_word(self):
         assert FAMILY_WORD.permutation() == (2, 1, 4, 3)
 
@@ -122,6 +157,22 @@ class TestBraidWord:
     def test_windings_are_cycle_lengths(self, w):
         cw = components_and_windings(w)
         assert {c: n for c, n in cw} == {c: len(c) for c in w.cycles()}
+
+
+class TestAnnularComponent:
+    @pytest.mark.parametrize("bad", [1.0, True, "1", None])
+    def test_strands_must_be_ints(self, bad):
+        with pytest.raises(DiagramError, match="strands of 'a' must be int"):
+            AnnularComponent("a", [bad, 2])
+        # a value equal to a strand already present is still refused
+        with pytest.raises(DiagramError, match="strands of 'a' must be int"):
+            AnnularComponent("a", (1, 2, bad))
+
+    def test_strands_become_a_frozenset(self):
+        for strands in ([2, 1], (1, 2), iter((2, 1)), frozenset({1, 2})):
+            comp = AnnularComponent("a", strands)
+            assert comp.strands == frozenset({1, 2})
+            assert type(comp.strands) is frozenset
 
 
 class TestAnnularClosure:

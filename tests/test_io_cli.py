@@ -16,7 +16,7 @@ from lbkit.cli import (
 )
 from lbkit.covers import cyclic_cover_link, double_cover_diagram
 from lbkit.diagrams import (
-    BLUE, PURPLE, RED, AnnularComponent, BicoloredLink, BraidWord,
+    BLUE, PURPLE, RED, AnnularComponent, BicoloredLink, BraidWord, DiagramError,
     braid_closure, braid_closure_link, close_tangle, empty_tangle,
     half_twist_tangle, normalize_to_writhe,
 )
@@ -457,6 +457,60 @@ class TestKirbyInputProbes:
         obj = kirby_to_obj(build_diagram(3, 2))
         _set(("two_handles", 0, "framing"), 3.0)(obj)
         with pytest.raises(ValueError, match="framing of 'upper' must be int"):
+            load_diagram(json.dumps(obj))
+
+
+# Annular JSON for ``lbkit cover -`` that once ended in a TypeError
+# traceback or exited 0 with coerced letters; each must now be an error
+# object with exit 1.
+ANNULAR_PROBES = {
+    "string strands": [_set(("strands",), "3")],
+    "float strands": [_set(("strands",), 4.0)],
+    "integer letters": [_set(("letters",), 5)],
+    "float and bool letter": [_set(("letters", 1), [3.0, True])],
+    "string letter position": [_set(("letters", 0), ["1", -1])],
+    "integer letter": [_set(("letters", 0), 1)],
+    "letter triple": [_set(("letters", 0), [1, -1, 1])],
+    "integer components": [_set(("components",), 3)],
+    "integer split": [_set(("split",), 4)],
+}
+
+
+class TestAnnularInputProbes:
+    @pytest.mark.parametrize("name", list(ANNULAR_PROBES))
+    def test_probe_is_an_error_object(self, capsys, monkeypatch, name):
+        obj = annular_to_obj(build_diagram(3, 2).attaching)
+        for change in ANNULAR_PROBES[name]:
+            change(obj)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
+        code, out, err = run_cli(capsys, "cover", "-", "--degree", "2")
+        assert code == 1
+        assert set(json.loads(out)) == {"error"}
+        assert err == ""
+
+    def test_unchanged_link_still_covers(self, capsys, monkeypatch):
+        link = build_diagram(3, 2).attaching
+        monkeypatch.setattr(sys, "stdin", io.StringIO(dumps(annular_to_obj(link))))
+        code, out, _ = run_cli(capsys, "cover", "-", "--degree", "2")
+        assert code == 0
+        assert json.loads(out) == cover_to_obj(cyclic_cover_link(link, 2))
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("letters",), 5, "letters must be a JSON array"),
+        (("letters", 1), 3, r"letters\[1\] must be a JSON array"),
+        (("components",), 3, "components must be a JSON array"),
+        (("split",), {}, "split must be a JSON array"),
+    ])
+    def test_messages_name_the_field(self, path, value, message):
+        obj = annular_to_obj(build_diagram(3, 2).attaching)
+        _set(path, value)(obj)
+        with pytest.raises(FormatError, match=message):
+            load_diagram(json.dumps(obj))
+
+    def test_letter_types_are_diagram_errors(self):
+        obj = annular_to_obj(build_diagram(3, 2).attaching)
+        _set(("letters", 1), [3.0, True])(obj)
+        with pytest.raises(DiagramError, match="braid letters must be int"):
             load_diagram(json.dumps(obj))
 
 

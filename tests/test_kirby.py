@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lbkit.diagrams import DiagramError, half_twist_tangle
 from lbkit.homology import AbelianGroup, boundary_h1, h1
@@ -26,6 +26,12 @@ class TestBuildDiagram:
             (2, 0, 2, 1),
             (0, 0, 1, 0),
         )
+
+    @pytest.mark.parametrize("p, q", [
+        (2.5, 1), (2, True), (2.5, True), ("2", 1), (0, None), (False, 0)])
+    def test_parameters_must_be_ints(self, p, q):
+        with pytest.raises(DiagramError, match="family parameters must be int"):
+            build_diagram(p, q)
 
     @given(params, params)
     def test_parameters_round_trip(self, p, q):
@@ -227,3 +233,156 @@ class TestSpheres:
                              ((0, 1), (1, 1)))
         with pytest.raises(DiagramError):
             standard_sphere(plain, 0)
+
+
+# --------------------------------------------------------------------------
+# the KirbyDiagram checks against their first version
+
+
+def reference_kirby_check(dotted, two_handles, linking, three_handles=0,
+                          four_handles=0):
+    """KirbyDiagram's checks as first written (without attaching data):
+    every row re-tupled and type-checked alone, and symmetry checked
+    entry by entry.  Returns the stored (dotted, two_handles, linking)."""
+    dotted, two_handles = tuple(dotted), tuple(two_handles)
+    for x in dotted:
+        if not isinstance(x, str):
+            raise DiagramError(f"handle ids must be str, not {type(x).__name__}")
+    linking = tuple(tuple(row) for row in linking)
+    for row in linking:
+        for x in row:
+            if type(x) is not int:
+                raise DiagramError(
+                    f"linking entries must be int, not {type(x).__name__}")
+    for x in (three_handles, four_handles):
+        if type(x) is not int:
+            raise DiagramError(f"handle counts must be int, not {type(x).__name__}")
+    ids = list(dotted) + [h.id for h in two_handles]
+    if len(set(ids)) != len(ids):
+        raise DiagramError("handle ids must be unique")
+    d, n = len(dotted), len(two_handles)
+    for h in two_handles:
+        if len(h.winding) != d:
+            raise DiagramError(
+                f"handle {h.id!r} needs one winding entry per dotted circle")
+    m = linking
+    if len(m) != d + n or any(len(row) != d + n for row in m):
+        raise DiagramError("linking matrix must cover all dotted circles "
+                           "and 2-handles")
+    for i in range(d + n):
+        for j in range(d + n):
+            if m[i][j] != m[j][i]:
+                raise DiagramError("linking matrix must be symmetric")
+    for i in range(d):
+        for j in range(d):
+            if m[i][j] != 0:
+                raise DiagramError("dotted circles must form an unlink")
+        for j, h in enumerate(two_handles):
+            if m[i][d + j] != h.winding[i]:
+                raise DiagramError(
+                    f"linking of {h.id!r} with {dotted[i]!r} must "
+                    "equal its winding")
+    for j, h in enumerate(two_handles):
+        if m[d + j][d + j] != h.framing:
+            raise DiagramError(
+                f"diagonal entry of {h.id!r} must equal its framing")
+    if three_handles < 0 or four_handles < 0:
+        raise DiagramError("handle counts cannot be negative")
+    return dotted, two_handles, linking
+
+
+def kirby_outcome(build):
+    """The stored fields of what ``build`` returns, or the type and message
+    of what it raises."""
+    try:
+        d = build()
+    except Exception as err:  # the type is part of the comparison
+        return type(err), str(err)
+    if isinstance(d, KirbyDiagram):
+        return d.dotted, d.two_handles, d.linking
+    return d
+
+
+KIRBY_FAULTS = ("none", "asymmetric", "ragged row", "missing row",
+                "non-int entry", "non-int count", "negative count",
+                "duplicate id", "non-str dotted id", "winding length",
+                "linked dotted circles", "winding mismatch",
+                "framing mismatch")
+NON_INTS = (1.0, 2.5, True, False, "1", None)
+
+
+@st.composite
+def kirby_cases(draw):
+    """(fault, KirbyDiagram fields) of a valid diagram with 0-2 dotted
+    circles and 0-3 2-handles, with at most one fault put in; rows and
+    fields are sometimes lists, which must become tuples."""
+    d, n = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    ids = draw(st.permutations(("a", "b", "c", "d", "e")))
+    dotted = list(ids[:d])
+    size = d + n
+    m = [[0] * size for _ in range(size)]
+    for i in range(d, size):
+        for j in range(i, size):
+            m[i][j] = m[j][i] = draw(st.integers(-3, 3))
+    for i in range(d):
+        for j in range(d, size):
+            m[i][j] = m[j][i] = draw(st.integers(-2, 2))
+    handles = [TwoHandle(ids[d + k], m[d + k][d + k],
+                         tuple(m[i][d + k] for i in range(d)))
+               for k in range(n)]
+    counts = [draw(st.integers(0, 2)), draw(st.integers(0, 2))]
+    fault = draw(st.sampled_from(KIRBY_FAULTS))
+    i, j = draw(st.integers(0, max(size - 1, 0))), draw(st.integers(0, max(size - 1, 0)))
+    if fault == "asymmetric" and size > 1 and i != j:
+        m[i][j] += draw(st.sampled_from((1, -1)))
+    elif fault == "ragged row" and size:
+        if draw(st.booleans()):
+            m[i].append(0)
+        else:
+            m[i].pop()
+    elif fault == "missing row" and size:
+        del m[i]
+    elif fault == "non-int entry" and size:
+        m[i][j] = draw(st.sampled_from(NON_INTS))
+    elif fault == "non-int count":
+        counts[draw(st.integers(0, 1))] = draw(st.sampled_from(NON_INTS))
+    elif fault == "negative count":
+        counts[draw(st.integers(0, 1))] = -1
+    elif fault == "duplicate id" and size:
+        name = (dotted + [h.id for h in handles])[i]
+        if d and draw(st.booleans()):
+            dotted.append(name)
+        elif handles:
+            handles.append(TwoHandle(name, 0, (0,) * d))
+    elif fault == "non-str dotted id" and d:
+        dotted[draw(st.integers(0, d - 1))] = draw(st.sampled_from((7, None, ("a",))))
+    elif fault == "winding length" and n:
+        k = draw(st.integers(0, n - 1))
+        handles[k] = TwoHandle(handles[k].id, handles[k].framing,
+                               handles[k].winding + (0,))
+    elif fault == "linked dotted circles" and d == 2:
+        m[0][1] = m[1][0] = 1
+    elif fault == "winding mismatch" and d and n:
+        k = draw(st.integers(0, n - 1))
+        handles[k] = TwoHandle(handles[k].id, handles[k].framing,
+                               (handles[k].winding[0] + 1,) + handles[k].winding[1:])
+    elif fault == "framing mismatch" and n:
+        k = draw(st.integers(0, n - 1))
+        handles[k] = TwoHandle(handles[k].id, handles[k].framing + 1,
+                               handles[k].winding)
+    else:
+        fault = "none"
+    if draw(st.booleans()):
+        dotted, handles, m = tuple(dotted), tuple(handles), tuple(map(tuple, m))
+    return fault, (dotted, handles, m, *counts)
+
+
+class TestKirbyChecksMatchReference:
+    @settings(max_examples=500)
+    @given(kirby_cases())
+    def test_checks_and_stored_fields(self, case):
+        fault, parts = case
+        expected = kirby_outcome(lambda: reference_kirby_check(*parts))
+        assert kirby_outcome(lambda: KirbyDiagram(*parts)) == expected
+        if fault == "none":
+            assert type(expected[0]) is tuple

@@ -55,6 +55,20 @@ try:
 except DiagramError as err:
     print("side:", err)
 obstruction.assemble_link = real
+
+from lbkit.covers import CoverData, double_cover_diagram
+from lbkit.kirby import KirbyDiagram, TwoHandle, build_diagram
+cov = double_cover_diagram(build_diagram(2, -1))
+same_sheet = ((cov.component_map[0][0], "upper", "b"),) + cov.component_map[1:]
+for name, build in [
+        ("cover", lambda: CoverData(cov.base, 2, cov.total, same_sheet, cov.deck)),
+        ("kirby", lambda: KirbyDiagram(("d",), (TwoHandle("h", 0, (1,)),),
+                                       ((0, 1), (2, 0))))]:
+    try:
+        build()
+        print(name + ": no error")
+    except DiagramError as err:
+        print(name + ":", err)
 print(repr(classify(-400, 400)))
 print(repr(classify(-400, 400, True)))
 """
@@ -303,8 +317,11 @@ class TestAssembly:
         assert (plain[0], optimized[0]) == ("debug True", "debug False")
         assert optimized[1] == ("side: side decomposition disagrees with "
                                 "the assembled link")
+        assert optimized[2:4] == [
+            "cover: deck map must exchange the sheet labels",
+            "kirby: linking matrix must be symmetric"]
         assert optimized[1:] == plain[1:]
-        assert optimized[2:] == [repr(classify(-400, 400)),
+        assert optimized[4:] == [repr(classify(-400, 400)),
                                  repr(classify(-400, 400, True))]
 
 
