@@ -34,7 +34,7 @@ from functools import cached_property
 from itertools import chain, product
 from operator import attrgetter
 
-from .homology import _require_ints
+from .homology import _require_exact
 
 RED = "red"
 BLUE = "blue"
@@ -88,12 +88,12 @@ class BraidWord:
     letters: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        _require_ints((self.strands,), "braid strands", DiagramError)
+        _require_exact(int, (self.strands,), "braid strands", DiagramError)
         if self.strands < 1:
             raise DiagramError("a braid word needs at least one strand")
         letters = tuple(map(tuple, self.letters))
         object.__setattr__(self, "letters", letters)
-        _require_ints(chain.from_iterable(letters), "braid letters", DiagramError)
+        _require_exact(int, chain.from_iterable(letters), "braid letters", DiagramError)
         for letter in dict.fromkeys(letters):
             if len(letter) != 2:
                 raise DiagramError("braid letters must be (position, sign) pairs")
@@ -181,9 +181,12 @@ class AnnularComponent:
     kinks: int = 0
 
     def __post_init__(self):
+        _require_exact(str, (self.id,), "component ids", DiagramError)
         strands = tuple(self.strands)
-        _require_ints(strands, f"strands of {self.id!r}", DiagramError)
+        _require_exact(int, strands, "strands of {!r}", DiagramError, self.id)
         object.__setattr__(self, "strands", frozenset(strands))
+        _require_exact(int, (self.framing, self.orientation, self.kinks),
+                       "framing, orientation and kinks of {!r}", DiagramError, self.id)
         if self.color not in _COMPONENT_COLORS:
             raise DiagramError(f"unknown color {self.color!r}")
         if self.orientation not in (1, -1):
@@ -327,6 +330,7 @@ class Strand:
     color: str | None = None
 
     def __post_init__(self):
+        _require_exact(str, (self.id,), "strand ids", DiagramError)
         if self.color not in _COMPONENT_COLORS:
             raise DiagramError(f"unknown color {self.color!r}")
 
@@ -338,6 +342,8 @@ class Crossing:
     sign: int
 
     def __post_init__(self):
+        _require_exact(str, (self.over, self.under), "crossing strands", DiagramError)
+        _require_exact(int, (self.sign,), "crossing sign", DiagramError)
         if self.sign not in (1, -1):
             raise DiagramError("crossing sign must be +-1")
 
@@ -352,6 +358,8 @@ class Slot:
     orientation: str
 
     def __post_init__(self):
+        _require_exact(str, (self.arc,), "slot arcs", DiagramError)
+        _require_exact(int, (self.end,), "arc ends", DiagramError)
         if self.end not in (0, 1):
             raise DiagramError("arc ends are numbered 0 and 1")
         if self.orientation not in (_IN, _OUT):
@@ -498,6 +506,8 @@ class LinkComponent:
     orientation: int = 1
 
     def __post_init__(self):
+        _require_exact(str, (self.id,), "component ids", DiagramError)
+        _require_exact(int, (self.orientation,), "orientation", DiagramError)
         if self.color not in _COMPONENT_COLORS:
             raise DiagramError(f"unknown color {self.color!r}")
         if self.orientation not in (1, -1):

@@ -41,11 +41,15 @@ __all__ = [
 ]
 
 
-def _require_ints(values, what: str, error=ValueError) -> None:
-    """Refuse anything but exact ints (bools included) in ``values``."""
+def _require_exact(kind, values, what: str, error=ValueError, subject=None) -> None:
+    """Refuse any of ``values`` whose type is not exactly ``kind`` (int
+    or str): a bool is not an int, and nothing is coerced.  ``what`` names
+    the values; a ``{!r}`` in it is filled with ``subject`` only on failure,
+    so constructors on hot paths pay no formatting."""
     for x in values:
-        if type(x) is not int:
-            raise error(f"{what} must be int, not {type(x).__name__}")
+        if type(x) is not kind:
+            what = what.format(subject)
+            raise error(f"{what} must be {kind.__name__}, not {type(x).__name__}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,7 @@ class IntMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix")
-            _require_ints(row, "entries")
+            _require_exact(int, row, "entries")
 
     @classmethod
     def from_rows(cls, rows, cols=None):
@@ -266,12 +270,12 @@ class AbelianGroup:
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
-        _require_ints((self.free_rank,), "free rank")
+        _require_exact(int, (self.free_rank,), "free rank")
         if self.free_rank < 0:
             raise ValueError("free rank must be non-negative")
         facs = tuple(self.invariant_factors)
         object.__setattr__(self, "invariant_factors", facs)
-        _require_ints(facs, "invariant factors")
+        _require_exact(int, facs, "invariant factors")
         if any(d < 2 for d in facs):
             raise ValueError("invariant factors must be at least 2")
         for d, e in zip(facs, facs[1:]):
@@ -291,7 +295,7 @@ class AbelianGroup:
 
     def reduce(self, element) -> tuple[int, ...]:
         element = tuple(element)
-        _require_ints(element, "coordinates")
+        _require_exact(int, element, "coordinates")
         if len(element) != self.arity:
             raise ValueError(
                 f"element has {len(element)} coordinates, expected {self.arity}")

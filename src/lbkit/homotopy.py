@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .covers import lift_wiring
-from .homology import AbelianGroup
+from .homology import AbelianGroup, _require_exact
 from .obstruction import NotHomotopic, concordance_obstruction
 
 __all__ = [
@@ -48,7 +48,8 @@ class FingerMove:
     element: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "element", tuple(int(x) for x in self.element))
+        object.__setattr__(self, "element", tuple(self.element))
+        _require_exact(int, self.element, "group elements", InvalidTrace)
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,8 @@ class WhitneyMove:
     element: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "element", tuple(int(x) for x in self.element))
+        object.__setattr__(self, "element", tuple(self.element))
+        _require_exact(int, self.element, "group elements", InvalidTrace)
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,8 @@ class Cycle:
     maxima: int
 
     def __post_init__(self):
-        object.__setattr__(self, "element", tuple(int(x) for x in self.element))
+        object.__setattr__(self, "element", tuple(self.element))
+        _require_exact(int, self.element, "group elements", InvalidTrace)
         if self.minima < 0 or self.maxima < 0:
             raise InvalidTrace("extremum counts cannot be negative")
 
@@ -181,8 +184,10 @@ class CrossedClass:
     parities: tuple[tuple[tuple[int, ...], int], ...]
 
     def __post_init__(self):
-        parities = tuple(sorted(
-            (tuple(el), int(bit) % 2) for el, bit in self.parities))
+        pairs = tuple((tuple(el), bit) for el, bit in self.parities)
+        _require_exact(int, [x for el, bit in pairs for x in (*el, bit)],
+                       "class elements and bits", InvalidTrace)
+        parities = tuple(sorted((el, bit % 2) for el, bit in pairs))
         object.__setattr__(self, "parities", parities)
         expected = self.group.elements_of_order_two()
         if tuple(el for el, _ in parities) != expected:

@@ -32,7 +32,7 @@ from .diagrams import (
     half_twist_tangle,
     normalize_to_writhe,
 )
-from .homology import _require_ints
+from .homology import _require_exact
 
 __all__ = [
     "TwoHandle", "KirbyDiagram", "SphereEmbedding",
@@ -40,12 +40,6 @@ __all__ = [
     "family_parameters", "ensure_attaching",
     "standard_sphere", "sphere_square", "sphere_tangle",
 ]
-
-
-def _require_ids(ids) -> None:
-    for x in ids:
-        if not isinstance(x, str):
-            raise DiagramError(f"handle ids must be str, not {type(x).__name__}")
 
 
 @dataclass(frozen=True)
@@ -58,11 +52,11 @@ class TwoHandle:
     winding: tuple[int, ...]
 
     def __post_init__(self):
-        _require_ids((self.id,))
+        _require_exact(str, (self.id,), "handle ids", DiagramError)
         if type(self.winding) is not tuple:
             object.__setattr__(self, "winding", tuple(self.winding))
-        _require_ints((self.framing,), f"framing of {self.id!r}", DiagramError)
-        _require_ints(self.winding, f"winding of {self.id!r}", DiagramError)
+        _require_exact(int, (self.framing,), "framing of {!r}", DiagramError, self.id)
+        _require_exact(int, self.winding, "winding of {!r}", DiagramError, self.id)
 
 
 @dataclass(frozen=True)
@@ -90,12 +84,12 @@ class KirbyDiagram:
             object.__setattr__(self, "dotted", tuple(self.dotted))
         if type(self.two_handles) is not tuple:
             object.__setattr__(self, "two_handles", tuple(self.two_handles))
-        _require_ids(self.dotted)
+        _require_exact(str, self.dotted, "handle ids", DiagramError)
         m = tuple(map(tuple, self.linking))
         object.__setattr__(self, "linking", m)
-        _require_ints(chain.from_iterable(m), "linking entries", DiagramError)
-        _require_ints((self.three_handles, self.four_handles), "handle counts",
-                      DiagramError)
+        _require_exact(int, chain.from_iterable(m), "linking entries", DiagramError)
+        _require_exact(int, (self.three_handles, self.four_handles),
+                       "handle counts", DiagramError)
         ids = list(self.dotted) + [h.id for h in self.two_handles]
         if len(set(ids)) != len(ids):
             raise DiagramError("handle ids must be unique")
@@ -198,7 +192,7 @@ def build_diagram(p: int, q: int) -> KirbyDiagram:
     The returned diagram carries its attaching link (already normalized
     to writhe) so that covers can be taken directly.
     """
-    _require_ints((p, q), "family parameters", DiagramError)
+    _require_exact(int, (p, q), "family parameters", DiagramError)
     handles = (
         TwoHandle("upper", p, (2,)),
         TwoHandle("lower", q, (2,)),
@@ -341,8 +335,9 @@ class SphereEmbedding:
     class_vector: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "class_vector", tuple(int(c) for c in self.class_vector))
+        object.__setattr__(self, "class_vector", tuple(self.class_vector))
+        _require_exact(int, (self.twists, *self.class_vector),
+                       "twist count and class vector", DiagramError)
         if len(self.class_vector) != len(self.ambient.two_handles):
             raise DiagramError("class vector needs one entry per 2-handle")
 
@@ -357,7 +352,7 @@ def standard_sphere(d: KirbyDiagram, twists: int) -> SphereEmbedding:
     if sum(vector) != 2:
         raise DiagramError("the standard sphere needs exactly two winding "
                            "2-handles in the ambient diagram")
-    return SphereEmbedding(d, int(twists), vector)
+    return SphereEmbedding(d, twists, vector)
 
 
 def sphere_square(s: SphereEmbedding) -> int:

@@ -16,12 +16,7 @@ from __future__ import annotations
 import json
 
 from .diagrams import (
-    AnnularComponent,
-    AnnularLink,
-    BraidWord,
-    ColoredTangle,
-    Crossing,
-    Slot,
+    AnnularComponent, AnnularLink, BraidWord, ColoredTangle, Crossing, Slot,
     Strand,
 )
 from .homology import AbelianGroup
@@ -46,16 +41,56 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _require(obj, what: str, required: tuple, optional: tuple = ()) -> None:
-    if not isinstance(obj, dict):
-        raise FormatError(f"{what} must be a JSON object")
-    keys = set(obj)
-    missing = [k for k in required if k not in keys]
-    if missing:
-        raise FormatError(f"{what} is missing fields: {', '.join(missing)}")
-    unknown = keys - set(required) - set(optional)
-    if unknown:
-        raise FormatError(f"{what} has unknown fields: {', '.join(sorted(unknown))}")
+# --------------------------------------------------------------------------
+# the field table: each wire object maps its fields to shapes and lists
+# the fields that may be absent.  A shape is None for a scalar (whose
+# type the library constructor checks), the name of another object, an
+# int n for a row of n scalars (a letter [position, sign], a crossing
+# [over, under, sign], a slot [arc, end, orientation]), or [shape] for
+# an array of that shape.  A diagram object's first field names its type.
+
+_OBJECTS = {
+    "kirby diagram": ({"dotted": [None], "two_handles": ["two-handle"],
+                       "linking": [[None]], "h3": None, "h4": None}, ()),
+    "two-handle": ({"id": None, "framing": None, "winding": [None]}, ()),
+    "annular link": ({"strands": None, "letters": [2],
+                      "components": ["component"], "split": ["component"]},
+                     ("split",)),
+    "component": ({"id": None, "color": None, "framing": None,
+                   "orientation": None, "kinks": None}, ("kinks",)),
+    "tangle": ({"arcs": ["strand"], "closed": ["strand"], "crossings": [3],
+                "endpoints": "endpoints"}, ()),
+    "strand": ({"id": None, "color": None}, ()),
+    "endpoints": ({"top": [3], "bottom": [3]}, ()),
+}
+
+
+def _check(value, shape, path: str) -> None:
+    """Raise FormatError naming ``path`` where ``value`` does not fit
+    ``shape``; the walk follows the table, never the data's own nesting."""
+    if type(shape) is str:
+        fields, optional = _OBJECTS[shape]
+        where = path or shape
+        if type(value) is not dict:
+            raise FormatError(f"{where} must be a JSON object")
+        if value.keys() != fields.keys():  # the common case skips both scans
+            missing = [k for k in fields if k not in value and k not in optional]
+            if missing:
+                raise FormatError(f"{where} is missing fields: {', '.join(missing)}")
+            unknown = sorted(value.keys() - fields.keys())
+            if unknown:
+                raise FormatError(f"{where} has unknown fields: {', '.join(unknown)}")
+        for key, item in value.items():
+            if fields[key] is not None:
+                _check(item, fields[key], f"{path}.{key}" if path else key)
+    elif type(value) is not list:
+        raise FormatError(f"{path} must be a JSON array")
+    elif type(shape) is int:
+        if len(value) != shape:
+            raise FormatError(f"{path} must have {shape} items, got {len(value)}")
+    elif shape[0] is not None:
+        for k, item in enumerate(value):
+            _check(item, shape[0], f"{path}[{k}]")
 
 
 # --------------------------------------------------------------------------
@@ -75,28 +110,11 @@ def kirby_to_obj(d: KirbyDiagram) -> dict:
     }
 
 
-def _array(value, what: str) -> tuple:
-    if not isinstance(value, list):
-        raise FormatError(f"{what} must be a JSON array")
-    return tuple(value)
-
-
 def obj_to_kirby(obj) -> KirbyDiagram:
-    _require(obj, "kirby diagram", ("dotted", "two_handles", "linking", "h3", "h4"))
-    handles = []
-    for k, entry in enumerate(_array(obj["two_handles"], "two_handles")):
-        _require(entry, "two-handle", ("id", "framing", "winding"))
-        handles.append(TwoHandle(
-            entry["id"], entry["framing"],
-            _array(entry["winding"], f"two_handles[{k}].winding")))
+    _check(obj, "kirby diagram", "")
     return KirbyDiagram(
-        _array(obj["dotted"], "dotted"),
-        tuple(handles),
-        tuple(_array(row, f"linking[{k}]")
-              for k, row in enumerate(_array(obj["linking"], "linking"))),
-        obj["h3"],
-        obj["h4"],
-    )
+        obj["dotted"], tuple(TwoHandle(**h) for h in obj["two_handles"]),
+        obj["linking"], obj["h3"], obj["h4"])
 
 
 # --------------------------------------------------------------------------
@@ -111,14 +129,6 @@ def _component_to_obj(c: AnnularComponent) -> dict:
     return out
 
 
-def _obj_to_component(entry, strands: frozenset) -> AnnularComponent:
-    _require(entry, "component", ("id", "color", "framing", "orientation"),
-             ("kinks",))
-    return AnnularComponent(entry["id"], strands, entry["color"],
-                            entry["framing"], entry["orientation"],
-                            entry.get("kinks", 0))
-
-
 def annular_to_obj(link: AnnularLink) -> dict:
     out = {
         "strands": link.word.strands,
@@ -131,22 +141,26 @@ def annular_to_obj(link: AnnularLink) -> dict:
 
 
 def obj_to_annular(obj) -> AnnularLink:
-    _require(obj, "annular link", ("strands", "letters", "components"),
-             ("split",))
-    word = BraidWord(obj["strands"], tuple(
-        _array(letter, f"letters[{k}]")
-        for k, letter in enumerate(_array(obj["letters"], "letters"))))
+    _check(obj, "annular link", "")
+    word = BraidWord(obj["strands"], obj["letters"])
+    entries = obj["components"]
+    # A letter joins at most two closure cycles, so a word has at least strands -
+    # letters of them: too few entries are refused before a per-strand list is built.
+    least = word.strands - len(word.letters)
+    if least > len(entries):
+        raise FormatError(f"word has at least {least} closure components, "
+                          f"got {len(entries)} entries")
     cycles = word.cycles()
-    entries = _array(obj["components"], "components")
     if len(entries) != len(cycles):
         raise FormatError(
             f"word has {len(cycles)} closure components, got "
             f"{len(entries)} entries")
-    components = tuple(_obj_to_component(entry, cyc)
-                       for entry, cyc in zip(entries, cycles))
-    split = tuple(_obj_to_component(entry, frozenset())
-                  for entry in _array(obj.get("split", []), "split"))
-    return AnnularLink(word, components, split)
+    return AnnularLink(
+        word,
+        tuple(AnnularComponent(strands=cyc, **entry)
+              for entry, cyc in zip(entries, cycles)),
+        tuple(AnnularComponent(strands=frozenset(), **entry)
+              for entry in obj.get("split", ())))
 
 
 # --------------------------------------------------------------------------
@@ -166,26 +180,14 @@ def tangle_to_obj(t: ColoredTangle) -> dict:
 
 
 def obj_to_tangle(obj) -> ColoredTangle:
-    _require(obj, "tangle", ("arcs", "closed", "crossings", "endpoints"))
-    _require(obj["endpoints"], "endpoints", ("top", "bottom"))
-
-    def strands(entries):
-        out = []
-        for entry in entries:
-            _require(entry, "strand", ("id", "color"))
-            out.append(Strand(entry["id"], entry["color"]))
-        return tuple(out)
-
-    def slots(entries):
-        return tuple(Slot(arc, end, orientation)
-                     for arc, end, orientation in entries)
-
+    _check(obj, "tangle", "")
+    ends = obj["endpoints"]
     return ColoredTangle(
-        strands(obj["arcs"]),
-        strands(obj["closed"]),
-        tuple(Crossing(o, u, s) for o, u, s in obj["crossings"]),
-        slots(obj["endpoints"]["top"]),
-        slots(obj["endpoints"]["bottom"]),
+        tuple(Strand(**s) for s in obj["arcs"]),
+        tuple(Strand(**s) for s in obj["closed"]),
+        tuple(Crossing(*c) for c in obj["crossings"]),
+        tuple(Slot(*s) for s in ends["top"]),
+        tuple(Slot(*s) for s in ends["bottom"]),
     )
 
 
@@ -198,12 +200,9 @@ def group_to_obj(g: AbelianGroup) -> dict:
 
 
 def cover_to_obj(c) -> dict:
-    if isinstance(c.total, KirbyDiagram):
-        total = kirby_to_obj(c.total)
-    else:
-        total = annular_to_obj(c.total)
+    to_obj = kirby_to_obj if isinstance(c.total, KirbyDiagram) else annular_to_obj
     return {
-        "total": total,
+        "total": to_obj(c.total),
         "map": [list(row) for row in c.component_map],
         "deck": [list(pair) for pair in c.deck],
     }
@@ -230,17 +229,16 @@ def load_diagram(text: str):
     """Parse interchange JSON, detecting the diagram type by its keys."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSONDecodeError, or an int too long to convert
         raise FormatError(f"not valid JSON: {err}") from None
     except RecursionError:
         raise FormatError("JSON is nested too deeply to decode") from None
     if not isinstance(obj, dict):
         raise FormatError("a diagram file must hold a JSON object")
-    if "dotted" in obj:
-        return obj_to_kirby(obj)
-    if "strands" in obj:
-        return obj_to_annular(obj)
-    if "arcs" in obj:
-        return obj_to_tangle(obj)
+    for kind, read in (("kirby diagram", obj_to_kirby),
+                       ("annular link", obj_to_annular),
+                       ("tangle", obj_to_tangle)):
+        if next(iter(_OBJECTS[kind][0])) in obj:
+            return read(obj)
     raise FormatError("unrecognized diagram object (expected kirby, annular, "
                       "or tangle fields)")

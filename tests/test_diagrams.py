@@ -168,11 +168,45 @@ class TestAnnularComponent:
         with pytest.raises(DiagramError, match="strands of 'a' must be int"):
             AnnularComponent("a", (1, 2, bad))
 
+    @pytest.mark.parametrize("field, bad", [
+        ("framing", 1.0), ("framing", True), ("orientation", 1.0),
+        ("orientation", True), ("kinks", True), ("kinks", "0")])
+    def test_framing_orientation_and_kinks_must_be_ints(self, field, bad):
+        with pytest.raises(DiagramError,
+                           match="orientation and kinks of 'a' must be int"):
+            AnnularComponent("a", (1,), **{field: bad})
+
     def test_strands_become_a_frozenset(self):
         for strands in ([2, 1], (1, 2), iter((2, 1)), frozenset({1, 2})):
             comp = AnnularComponent("a", strands)
             assert comp.strands == frozenset({1, 2})
             assert type(comp.strands) is frozenset
+
+
+class TestScalarTypes:
+    """Ids are exact str and signs, ends and orientations exact ints."""
+
+    @pytest.mark.parametrize("bad", [7, ["a"], None])
+    def test_ids_must_be_str(self, bad):
+        with pytest.raises(DiagramError, match="component ids must be str"):
+            AnnularComponent(bad, (1,))
+        with pytest.raises(DiagramError, match="component ids must be str"):
+            LinkComponent(bad)
+        with pytest.raises(DiagramError, match="strand ids must be str"):
+            Strand(bad)
+        with pytest.raises(DiagramError, match="crossing strands must be str"):
+            Crossing("a", bad, 1)
+        with pytest.raises(DiagramError, match="slot arcs must be str"):
+            Slot(bad, 0, "in")
+
+    @pytest.mark.parametrize("bad", [1.0, True, "1"])
+    def test_signs_ends_and_orientations_must_be_ints(self, bad):
+        with pytest.raises(DiagramError, match="crossing sign must be int"):
+            Crossing("a", "b", bad)
+        with pytest.raises(DiagramError, match="arc ends must be int"):
+            Slot("a", bad, "in")
+        with pytest.raises(DiagramError, match="orientation must be int"):
+            LinkComponent("a", None, bad)
 
 
 class TestAnnularClosure:

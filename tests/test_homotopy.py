@@ -282,6 +282,18 @@ class TestClassifier:
             with pytest.raises(ValueError, match="coordinates must be int"):
                 c.of((bad,))
 
+    def test_moves_cycles_and_classes_refuse_non_ints(self):
+        z2 = AbelianGroup(0, (2,))
+        for build in (lambda: Cycle(True, ("1",), 2, 2),
+                      lambda: CrossedClass(z2, (((1,), 3.7),)),
+                      lambda: CrossedClass(z2, (((True,), 1),)),
+                      lambda: FingerMove((True,)),
+                      lambda: WhitneyMove((1.0,))):
+            with pytest.raises(InvalidTrace, match="must be int"):
+                build()
+        assert FingerMove([1]).element == (1,)
+        assert CrossedClass(z2, (([1], 3),)).parities == (((1,), 1),)
+
     def test_even_pair_builds_at_most_50_dataclass_instances(self,
                                                            monkeypatch):
         """The tangle parts every model slice shares are module constants,

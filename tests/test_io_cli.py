@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -9,6 +10,7 @@ from contextlib import redirect_stdout
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lbkit.cli
 from lbkit.cli import (
@@ -461,8 +463,8 @@ class TestKirbyInputProbes:
 
 
 # Annular JSON for ``lbkit cover -`` that once ended in a TypeError
-# traceback or exited 0 with coerced letters; each must now be an error
-# object with exit 1.
+# traceback or exited 0 with coerced letters or an unchecked framing,
+# orientation, kinks or id; each must now be an error object with exit 1.
 ANNULAR_PROBES = {
     "string strands": [_set(("strands",), "3")],
     "float strands": [_set(("strands",), 4.0)],
@@ -473,6 +475,14 @@ ANNULAR_PROBES = {
     "letter triple": [_set(("letters", 0), [1, -1, 1])],
     "integer components": [_set(("components",), 3)],
     "integer split": [_set(("split",), 4)],
+    "float framing": [_set(("components", 0, "framing"), 3.0)],
+    "bool split framing and kinks": [_set(("split", 0, "framing"), True),
+                                     _set(("split", 0, "kinks"), True)],
+    "bool kinks": [_set(("split", 0, "framing"), 1),
+                   _set(("split", 0, "kinks"), True)],
+    "float orientation": [_set(("components", 0, "orientation"), 1.0)],
+    "integer component id": [_set(("components", 0, "id"), 7)],
+    "list component id": [_set(("components", 0, "id"), ["upper"])],
 }
 
 
@@ -512,6 +522,226 @@ class TestAnnularInputProbes:
         _set(("letters", 1), [3.0, True])(obj)
         with pytest.raises(DiagramError, match="braid letters must be int"):
             load_diagram(json.dumps(obj))
+
+
+# Tangle JSON for ``lbkit render -`` that once ended in a TypeError
+# traceback or exited 0 with a float or bool sign or end; each must now
+# be an error object with exit 1.
+TANGLE_PROBES = {
+    "integer arcs": [_set(("arcs",), 5)],
+    "integer crossings": [_set(("crossings",), 5)],
+    "integer top endpoints": [_set(("endpoints", "top"), 5)],
+    "integer crossing": [_set(("crossings", 1), 1)],
+    "integer slot": [_set(("endpoints", "bottom", 0), 1)],
+    "list arc id": [_set(("arcs", 0, "id"), ["a"])],
+    "float crossing sign": [_set(("crossings", 0, 2), 1.0)],
+    "bool crossing sign": [_set(("crossings", 0, 2), True)],
+    "float slot end": [_set(("endpoints", "top", 0, 1), 0.0)],
+    "bool slot end": [_set(("endpoints", "top", 0, 1), False)],
+}
+
+
+def _tangle_obj():
+    return tangle_to_obj(half_twist_tangle(3, (RED, BLUE)))
+
+
+class TestTangleInputProbes:
+    @pytest.mark.parametrize("name", list(TANGLE_PROBES))
+    def test_probe_is_an_error_object(self, capsys, monkeypatch, name):
+        obj = _tangle_obj()
+        for change in TANGLE_PROBES[name]:
+            change(obj)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
+        code, out, err = run_cli(capsys, "render", "-")
+        assert code == 1
+        assert set(json.loads(out)) == {"error"}
+        assert err == ""
+
+    def test_unchanged_tangle_still_renders(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(_tangle_obj())))
+        code, out, _ = run_cli(capsys, "render", "-")
+        assert code == 0
+        assert out == render(half_twist_tangle(3, (RED, BLUE)), "text")
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("crossings",), 5, "crossings must be a JSON array"),
+        (("crossings", 1), [1], r"crossings\[1\] must have 3 items, got 1"),
+        (("endpoints", "top"), 5, "endpoints.top must be a JSON array"),
+        (("endpoints", "bottom", 0), 1,
+         r"endpoints.bottom\[0\] must be a JSON array"),
+        (("arcs", 1), [], r"arcs\[1\] must be a JSON object"),
+        (("endpoints",), [], "endpoints must be a JSON object"),
+    ])
+    def test_messages_name_the_json_path(self, path, value, message):
+        obj = _tangle_obj()
+        _set(path, value)(obj)
+        with pytest.raises(FormatError, match=message):
+            load_diagram(json.dumps(obj))
+
+    def test_nested_fields_are_named_by_path(self):
+        obj = _tangle_obj()
+        del obj["arcs"][1]["color"]
+        obj["endpoints"]["extra"] = 1
+        with pytest.raises(FormatError,
+                           match=r"arcs\[1\] is missing fields: color"):
+            load_diagram(json.dumps(obj))
+        del obj["arcs"][1]
+        with pytest.raises(FormatError,
+                           match="endpoints has unknown fields: extra"):
+            load_diagram(json.dumps(obj))
+
+
+# Diagram documents the fuzz perturbs: every wire object, optional
+# fields present and absent, rows of each length.
+_VALID_DOCS = [
+    kirby_to_obj(build_diagram(3, 2)),
+    kirby_to_obj(double(build_diagram(0, 5))),
+    annular_to_obj(build_diagram(3, 2).attaching),
+    annular_to_obj(braid_closure(BraidWord(3, ((1, 1), (2, -1))))),
+    _tangle_obj(),
+    tangle_to_obj(clasped_side(RED, 2, 1)),
+]
+def _paths(value, path=()):
+    """Every path into a JSON document, the root included."""
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _paths(item, path + (key,))
+
+
+def _field_names():
+    return sorted({p[-1] for doc in _VALID_DOCS for p in _paths(doc)
+                   if p and isinstance(p[-1], str)})
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.text(max_size=4))
+json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(_field_names())
+                                     | st.text(max_size=4),
+                                     inner, max_size=6)),
+    max_leaves=12)
+
+
+_TO_OBJ = {"KirbyDiagram": kirby_to_obj, "AnnularLink": annular_to_obj,
+           "ColoredTangle": tangle_to_obj}
+
+
+def _round_trips_or_is_named(text):
+    """load_diagram either gives a diagram whose JSON loads back equal,
+    or raises FormatError or DiagramError; anything else fails."""
+    try:
+        value = load_diagram(text)
+    except (FormatError, DiagramError):
+        return
+    assert load_diagram(dumps(_TO_OBJ[type(value).__name__](value))) == value
+
+
+class TestBoundaryFuzz:
+    """Arbitrary JSON, and one-field perturbations of valid documents."""
+
+    @settings(max_examples=400)
+    @given(json_values)
+    def test_arbitrary_json(self, value):
+        _round_trips_or_is_named(json.dumps(value))
+
+    @settings(max_examples=400)
+    @given(st.sampled_from(range(len(_VALID_DOCS))), st.data())
+    def test_one_field_perturbed(self, index, data):
+        doc = json.loads(json.dumps(_VALID_DOCS[index]))
+        path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+        *outer, last = path
+        parent = doc
+        for key in outer:
+            parent = parent[key]
+        kind = data.draw(st.sampled_from(("change", "delete", "add", "shorten")))
+        if kind == "change":
+            parent[last] = data.draw(json_values)
+        elif kind == "delete":
+            del parent[last]
+        elif isinstance(parent[last], dict):
+            parent[last][data.draw(st.sampled_from(_field_names()))] = \
+                data.draw(json_values)
+        elif isinstance(parent[last], list) and parent[last]:
+            if kind == "add":
+                parent[last].append(data.draw(json_values))
+            else:
+                parent[last].pop()
+        _round_trips_or_is_named(json.dumps(doc))
+
+    def test_valid_documents_load_back_to_the_same_json(self):
+        for doc in _VALID_DOCS:
+            value = load_diagram(json.dumps(doc))
+            assert _TO_OBJ[type(value).__name__](value) == doc
+
+    def test_oversized_integer_literal_is_a_format_error(self):
+        text = dumps(kirby_to_obj(build_diagram(0, 0))).replace(
+            '"h3": 0', '"h3": ' + "9" * 5000)
+        with pytest.raises(FormatError, match="not valid JSON"):
+            load_diagram(text)
+
+    def test_strand_count_beyond_the_entries_is_refused_before_cycles(self):
+        obj = annular_to_obj(build_diagram(3, 2).attaching)
+        obj["strands"] = 10 ** 12
+        with pytest.raises(FormatError, match="at least 999999999998 closure"):
+            load_diagram(json.dumps(obj))
+
+
+def _probe_texts():
+    """The JSON text of every Kirby, annular and tangle probe."""
+    texts = []
+    for probes, base in (
+            (KIRBY_PROBES, lambda: kirby_to_obj(build_diagram(3, 2))),
+            (ANNULAR_PROBES,
+             lambda: annular_to_obj(build_diagram(3, 2).attaching)),
+            (TANGLE_PROBES, _tangle_obj)):
+        for changes in probes.values():
+            obj = base()
+            for change in changes:
+                change(obj)
+            texts.append(json.dumps(obj))
+    return texts
+
+
+# Loads each probe text from stdin in a fresh interpreter and prints the
+# error it raised.
+LOAD_PROBES = """
+import json, sys
+from lbkit.serialize import load_diagram
+
+print("debug", __debug__)
+for text in json.load(sys.stdin):
+    try:
+        load_diagram(text)
+        print("loaded")
+    except ValueError as err:
+        print(type(err).__name__, err)
+"""
+
+
+def test_probe_errors_survive_python_O():
+    # -O strips assert statements; no check on the input path may be one
+    texts = _probe_texts()
+    expected = []
+    for text in texts:
+        with pytest.raises(ValueError) as err:
+            load_diagram(text)
+        expected.append(f"{type(err.value).__name__} {err.value}")
+    src = os.path.dirname(os.path.dirname(lbkit.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", LOAD_PROBES],
+                              input=json.dumps(texts), capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout.splitlines())
+    plain, optimized = outs
+    assert (plain[0], optimized[0]) == ("debug True", "debug False")
+    assert plain[1:] == optimized[1:] == expected
 
 
 def _subparser(parser, verb):

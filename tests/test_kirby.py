@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from lbkit.diagrams import DiagramError, half_twist_tangle
 from lbkit.homology import AbelianGroup, boundary_h1, h1
 from lbkit.kirby import (
-    KirbyDiagram, TwoHandle,
+    KirbyDiagram, SphereEmbedding, TwoHandle,
     build_diagram, double, ensure_attaching, euler_characteristic,
     family_parameters, handle_slide, sphere_square, sphere_tangle,
     standard_sphere,
@@ -227,6 +227,16 @@ class TestSpheres:
     def test_tangle_is_a_half_twist(self, n):
         s = standard_sphere(build_diagram(0, 0), n)
         assert sphere_tangle(s) == half_twist_tangle(n)
+
+    def test_twists_and_class_must_be_ints(self):
+        d = build_diagram(0, 0)
+        for twists, vector in ((2.5, (1, 1, 0)), (True, (1, 1, 0)),
+                               (0, (1, 1.0, 0))):
+            with pytest.raises(DiagramError,
+                               match="twist count and class vector must be int"):
+                SphereEmbedding(d, twists, vector)
+        with pytest.raises(DiagramError, match="must be int, not float"):
+            standard_sphere(d, 2.5)
 
     def test_needs_two_winding_handles(self):
         plain = KirbyDiagram(("d",), (TwoHandle("h", 1, (1,)),),

@@ -385,6 +385,30 @@ class TestObstruction:
         s = decorated_slice(i, j, plus=u, minus=v)
         assert slice_linking(s) % 2 == concordance_obstruction(i, j)
 
+    def test_decorated_parity_audit(self, rng):
+        """Every core with j in [-10, 10] and |i - j| <= 6, obstructed
+        (i - j = 2 mod 4) and not (i - j = 0 mod 4), under random
+        deck-symmetric decorations with clasps, cap linkings and windings
+        in [-3, 3]: the open and the closed linking parities both equal
+        the obstruction."""
+        for b in range(-5, 6):
+            for k in range(-3, 4):
+                i, j = 2 * (b + k), 2 * b
+                want = concordance_obstruction(i, j)
+                assert want == k % 2
+                for _ in range(26):
+                    s = decorated_slice(i, j, plus=rng.randint(-3, 3),
+                                        minus=rng.randint(-3, 3))
+                    assert side_symmetry_holds(s)
+                    assert slice_linking(s) % 2 == want
+                    lk, wr, wb = (rng.randint(-3, 3) for _ in range(3))
+                    d = ClosedCaseData(
+                        s, cap_link(lk), cap_link(lk),
+                        red_winding_plus=wr, red_winding_minus=wr,
+                        blue_winding_plus=wb, blue_winding_minus=wb)
+                    assert cap_symmetry_holds(d)
+                    assert closed_case_linking(d) % 2 == want
+
     @given(st.integers(-3, 3), st.integers(0, 2), st.integers(-2, 2))
     def test_symmetric_closed_data_never_moves_the_parity(self, a, lk, w):
         i = 2 * a
