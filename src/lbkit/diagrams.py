@@ -29,6 +29,7 @@ Conventions, fixed once and used by every module:
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, product
@@ -188,7 +189,7 @@ class AnnularComponent:
         _require_exact(int, (self.framing, self.orientation, self.kinks),
                        "framing, orientation and kinks of {!r}", DiagramError, self.id)
         if self.color not in _COMPONENT_COLORS:
-            raise DiagramError(f"unknown color {self.color!r}")
+            raise DiagramError(f"unknown color {reprlib.repr(self.color)}")
         if self.orientation not in (1, -1):
             raise DiagramError("orientation must be +-1")
 
@@ -332,7 +333,7 @@ class Strand:
     def __post_init__(self):
         _require_exact(str, (self.id,), "strand ids", DiagramError)
         if self.color not in _COMPONENT_COLORS:
-            raise DiagramError(f"unknown color {self.color!r}")
+            raise DiagramError(f"unknown color {reprlib.repr(self.color)}")
 
 
 @dataclass(frozen=True)
@@ -509,7 +510,7 @@ class LinkComponent:
         _require_exact(str, (self.id,), "component ids", DiagramError)
         _require_exact(int, (self.orientation,), "orientation", DiagramError)
         if self.color not in _COMPONENT_COLORS:
-            raise DiagramError(f"unknown color {self.color!r}")
+            raise DiagramError(f"unknown color {reprlib.repr(self.color)}")
         if self.orientation not in (1, -1):
             raise DiagramError("orientation must be +-1")
 

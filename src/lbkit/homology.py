@@ -18,9 +18,11 @@ makes the pivot ±gcd(p, x) and the entry zero in one step.  The
 clearing repeats only while the pivot strictly shrinks.  A row holding
 an entry the pivot does not divide is then added to the pivot's row,
 which enforces the divisibility chain (no such scan follows a unit
-pivot), and a negative pivot's row is negated.  Identical input
-therefore yields identical transform matrices; they are certified
-(u * m * v = d, u and v unimodular) but appear in no output.
+pivot), and a negative pivot's row is negated.  The transforms are an
+identity border: ``smith_normal_form`` eliminates [[m, I], [I, 0]],
+whose row and column moves carry u and v along, so identical input
+yields identical u and v; they are certified (u * m * v = d, u and v
+unimodular) but appear in no output.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ __all__ = [
 
 
 def _require_exact(kind, values, what: str, error=ValueError, subject=None) -> None:
-    """Refuse any of ``values`` whose type is not exactly ``kind`` (int
-    or str): a bool is not an int, and nothing is coerced.  ``what`` names
+    """Refuse any of ``values`` whose type is not exactly ``kind`` (int,
+    str or bool): a bool is not an int, and nothing is coerced.  ``what`` names
     the values; a ``{!r}`` in it is filled with ``subject`` only on failure,
     so constructors on hot paths pay no formatting."""
     for x in values:
@@ -96,15 +98,19 @@ def _xgcd(a, b):
     return a, s0, r0
 
 
-def _eliminate(a, nrows, ncols, u=None, v=None):
-    """Diagonalize ``a`` in place with unimodular row and column moves.
+def _eliminate(a, nrows, ncols):
+    """Diagonalize the leading ``nrows`` x ``ncols`` block of ``a`` in place
+    with unimodular row and column moves.
 
-    On return the diagonal is non-negative and satisfies the
-    divisibility chain.  ``u`` and ``v``, when given as identity lists,
-    accumulate the row and column operations so that u * a_in * v = a_out.
+    Pivots, cleared entries and the divisibility scan stay inside the
+    block, but every row move spans the whole row and every column move
+    the whole column, so a border beside or below the block records the
+    moves.  On return the block's diagonal is non-negative and satisfies
+    the divisibility chain.
     """
     t = 0
     limit = min(nrows, ncols)
+    border = a[nrows:]  # only column moves touch these rows, in place
     while t < limit:
         best = 0
         for i in range(t, nrows):
@@ -124,14 +130,9 @@ def _eliminate(a, nrows, ncols, u=None, v=None):
             break
         if bi != t:
             a[t], a[bi] = a[bi], a[t]
-            if u is not None:
-                u[t], u[bi] = u[bi], u[t]
         if bj != t:
             for row in a:
                 row[t], row[bj] = row[bj], row[t]
-            if v is not None:
-                for row in v:
-                    row[t], row[bj] = row[bj], row[t]
         at = a[t]
         p = at[t]
         while True:
@@ -148,18 +149,12 @@ def _eliminate(a, nrows, ncols, u=None, v=None):
                     c, d = -x // g, p // g
                     a[i] = [c * y + d * z for y, z in zip(at, ai)]
                     at = a[t] = [s * y + r * z for y, z in zip(at, ai)]
-                    if u is not None:
-                        ut, ui = u[t], u[i]
-                        u[t] = [s * y + r * z for y, z in zip(ut, ui)]
-                        u[i] = [c * y + d * z for y, z in zip(ut, ui)]
                     p = g
                 else:
                     q = x // p
                     ai[t] = 0
-                    for j in range(t + 1, ncols):
+                    for j in range(t + 1, len(ai)):
                         ai[j] -= q * at[j]
-                    if u is not None:
-                        u[i] = [z - q * y for y, z in zip(u[t], u[i])]
             # Clear row t right of the pivot, the same with columns.
             shrunk = False
             for j in range(t + 1, ncols):
@@ -169,28 +164,18 @@ def _eliminate(a, nrows, ncols, u=None, v=None):
                 if x % p:
                     g, s, r = _xgcd(p, x)
                     c, d = -x // g, p // g
-                    for i in range(t, nrows):
-                        row = a[i]
+                    for row in a[t:]:
                         y, z = row[t], row[j]
                         row[t], row[j] = s * y + r * z, c * y + d * z
-                    if v is not None:
-                        for row in v:
-                            y, z = row[t], row[j]
-                            row[t], row[j] = s * y + r * z, c * y + d * z
                     p = g
                     shrunk = True
                 else:
+                    # Before any Bezout step column t is zero below the
+                    # pivot inside the block, so only the border moves.
                     q = x // p
-                    if shrunk:
-                        for i in range(t, nrows):
-                            row = a[i]
-                            row[j] -= q * row[t]
-                    else:
-                        # Column t is still zero below the pivot.
-                        at[j] = 0
-                    if v is not None:
-                        for row in v:
-                            row[j] -= q * row[t]
+                    at[j] = 0
+                    for row in a[t + 1:] if shrunk else border:
+                        row[j] -= q * row[t]
             if shrunk:
                 # Column steps may have refilled column t; go again.
                 continue
@@ -210,12 +195,8 @@ def _eliminate(a, nrows, ncols, u=None, v=None):
             if stray is None:
                 break
             at = a[t] = [y + z for y, z in zip(at, a[stray])]
-            if u is not None:
-                u[t] = [y + z for y, z in zip(u[t], u[stray])]
         if p < 0:
             a[t] = [-x for x in at]
-            if u is not None:
-                u[t] = [-x for x in u[t]]
         t += 1
     return a
 
@@ -224,24 +205,24 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (d, u, v) with u * m * v = d in Smith normal form.
 
     u and v are unimodular; the diagonal of d is non-negative and each
-    entry divides the next.
+    entry divides the next.  They are read off one elimination of
+    [[m, I], [I, 0]].
     """
-    a = [list(row) for row in m.entries]
-    u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
-    v = [[int(i == j) for j in range(m.cols)] for i in range(m.cols)]
-    _eliminate(a, m.rows, m.cols, u, v)
+    r, c = m.rows, m.cols
+    a = [list(row) + [int(i == k) for k in range(r)] for i, row in enumerate(m.entries)]
+    a += [[int(i == k) for k in range(c)] + [0] * r for i in range(c)]
+    _eliminate(a, r, c)
     return (
-        IntMatrix.from_rows(a, m.cols),
-        IntMatrix.from_rows(u, m.rows),
-        IntMatrix.from_rows(v, m.cols),
+        IntMatrix.from_rows([row[:c] for row in a[:r]], c),
+        IntMatrix.from_rows([row[c:] for row in a[:r]], r),
+        IntMatrix.from_rows([row[:c] for row in a[r:]], c),
     )
 
 
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, in divisibility order.
 
-    The same elimination as ``smith_normal_form``, with no transform
-    matrices accumulated.
+    The same elimination as ``smith_normal_form``, without the border.
     """
     a = [list(row) for row in m.entries]
     _eliminate(a, m.rows, m.cols)

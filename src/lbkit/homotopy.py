@@ -73,6 +73,8 @@ class Cycle:
     def __post_init__(self):
         object.__setattr__(self, "element", tuple(self.element))
         _require_exact(int, self.element, "group elements", InvalidTrace)
+        _require_exact(int, (self.minima, self.maxima), "extremum counts", InvalidTrace)
+        _require_exact(bool, (self.crossed,), "crossed", InvalidTrace)
         if self.minima < 0 or self.maxima < 0:
             raise InvalidTrace("extremum counts cannot be negative")
 
@@ -103,7 +105,8 @@ class HomotopyTrace:
 
     @property
     def whitney_count(self) -> int:
-        return sum(1 for m in self.moves if isinstance(m, WhitneyMove))
+        # __post_init__ admits only finger and Whitney moves
+        return len(self.moves) - self.finger_count
 
 
 def empty_trace(group: AbelianGroup) -> HomotopyTrace:

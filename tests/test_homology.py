@@ -125,6 +125,12 @@ class TestSmithNormalForm:
         assert invariant_factors(IntMatrix(2, 2, ((0, 0), (0, 0)))) == ()
         assert invariant_factors(IntMatrix(3, 3, (
             (2, 0, 0), (0, 0, 0), (0, 0, 4)))) == (2, 4)
+        for rows, cols in ((0, 3), (3, 0), (0, 0)):
+            m = IntMatrix(rows, cols, ((),) * rows)
+            assert smith_normal_form(m) == (
+                m, IntMatrix.identity(rows), IntMatrix.identity(cols))
+            assert invariant_factors(m) == ()
+            assert cokernel(m) == AbelianGroup(rows)
 
 
 class TestIntMatrix:

@@ -285,12 +285,17 @@ class TestClassifier:
     def test_moves_cycles_and_classes_refuse_non_ints(self):
         z2 = AbelianGroup(0, (2,))
         for build in (lambda: Cycle(True, ("1",), 2, 2),
+                      lambda: Cycle(True, (1,), 2.0, True),
+                      lambda: Cycle(True, (1,), True, 2),
                       lambda: CrossedClass(z2, (((1,), 3.7),)),
                       lambda: CrossedClass(z2, (((True,), 1),)),
                       lambda: FingerMove((True,)),
                       lambda: WhitneyMove((1.0,))):
             with pytest.raises(InvalidTrace, match="must be int"):
                 build()
+        for crossed in ("no", 1, None):
+            with pytest.raises(InvalidTrace, match="crossed must be bool"):
+                Cycle(crossed, (1,), 2, 2)
         assert FingerMove([1]).element == (1,)
         assert CrossedClass(z2, (([1], 3),)).parities == (((1,), 1),)
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import io
 import json
@@ -408,6 +409,13 @@ def _set(path, value):
     return change
 
 
+def _deep_list(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 # Kirby JSON that once exited 0 with a coerced value or ended in a
 # TypeError traceback; each must now be an error object with exit 1.
 KIRBY_PROBES = {
@@ -464,7 +472,8 @@ class TestKirbyInputProbes:
 
 # Annular JSON for ``lbkit cover -`` that once ended in a TypeError
 # traceback or exited 0 with coerced letters or an unchecked framing,
-# orientation, kinks or id; each must now be an error object with exit 1.
+# orientation, kinks or id; each must now be an error object with exit 1,
+# and a short one, however large the offending value.
 ANNULAR_PROBES = {
     "string strands": [_set(("strands",), "3")],
     "float strands": [_set(("strands",), 4.0)],
@@ -483,6 +492,7 @@ ANNULAR_PROBES = {
     "float orientation": [_set(("components", 0, "orientation"), 1.0)],
     "integer component id": [_set(("components", 0, "id"), 7)],
     "list component id": [_set(("components", 0, "id"), ["upper"])],
+    "long string color": [_set(("components", 0, "color"), "x" * 100_000)],
 }
 
 
@@ -497,6 +507,7 @@ class TestAnnularInputProbes:
         assert code == 1
         assert set(json.loads(out)) == {"error"}
         assert err == ""
+        assert len(out) < 300
 
     def test_unchanged_link_still_covers(self, capsys, monkeypatch):
         link = build_diagram(3, 2).attaching
@@ -526,7 +537,8 @@ class TestAnnularInputProbes:
 
 # Tangle JSON for ``lbkit render -`` that once ended in a TypeError
 # traceback or exited 0 with a float or bool sign or end; each must now
-# be an error object with exit 1.
+# be an error object with exit 1, and a short one, however large the
+# offending value.
 TANGLE_PROBES = {
     "integer arcs": [_set(("arcs",), 5)],
     "integer crossings": [_set(("crossings",), 5)],
@@ -538,6 +550,8 @@ TANGLE_PROBES = {
     "bool crossing sign": [_set(("crossings", 0, 2), True)],
     "float slot end": [_set(("endpoints", "top", 0, 1), 0.0)],
     "bool slot end": [_set(("endpoints", "top", 0, 1), False)],
+    "deep list color": [_set(("arcs", 0, "color"), _deep_list(300))],
+    "long string color": [_set(("arcs", 0, "color"), "x" * 100_000)],
 }
 
 
@@ -556,6 +570,7 @@ class TestTangleInputProbes:
         assert code == 1
         assert set(json.loads(out)) == {"error"}
         assert err == ""
+        assert len(out) < 300
 
     def test_unchanged_tangle_still_renders(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(_tangle_obj())))
@@ -742,6 +757,19 @@ def test_probe_errors_survive_python_O():
     plain, optimized = outs
     assert (plain[0], optimized[0]) == ("debug True", "debug False")
     assert plain[1:] == optimized[1:] == expected
+
+
+def test_library_has_no_assert_statements():
+    # -O strips assert statements, so a library invariant must raise instead
+    package = os.path.dirname(lbkit.cli.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as f:
+                tree = ast.parse(f.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def _subparser(parser, verb):
