@@ -3,7 +3,8 @@
 Every quantity downstream (framings, linking parities, cover data) is
 computable from a Gauss-style count, so diagrams here record only what
 such a count can see: which components cross, with what sign, plus
-boundary bookkeeping for tangles.  No planar embedding is stored.
+boundary bookkeeping for tangles.  No planar embedding is stored, and
+crossing words are ``Runs``, handled per run rather than per position.
 
 Three diagram types:
 
@@ -31,9 +32,9 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass, replace
-from functools import cached_property
-from itertools import chain, product
-from operator import attrgetter
+from functools import cached_property, lru_cache
+from itertools import chain, islice, product, repeat, starmap
+from operator import attrgetter, eq, itemgetter
 
 from .homology import _require_exact
 
@@ -46,12 +47,13 @@ _IN = "in"
 _OUT = "out"
 _ID = attrgetter("id")
 _SLOT_END = attrgetter("arc", "end")
+_BLOCK = itemgetter(0)
 
 __all__ = [
     "RED", "BLUE", "PURPLE",
     "DiagramError", "ColorMismatch", "OrientationMismatch", "BadSite",
     "BraidWord", "AnnularComponent", "AnnularLink",
-    "Strand", "Crossing", "Slot", "ColoredTangle",
+    "Runs", "Strand", "Crossing", "Slot", "ColoredTangle",
     "LinkComponent", "BicoloredLink",
     "components_and_windings", "braid_closure", "braid_closure_link",
     "normalize_to_writhe",
@@ -75,6 +77,72 @@ class OrientationMismatch(DiagramError):
 
 class BadSite(DiagramError):
     """A Reidemeister move was requested at a site without its pattern."""
+
+
+class Runs:
+    """An immutable sequence of ``(block, count)`` runs, each the tuple ``block``
+    repeated ``count`` times.  ``len``, iteration, indexing, slicing, ``==`` and
+    ``hash`` see the expanded tuple; equal neighbouring blocks merge."""
+
+    __slots__ = ("_runs", "_len")
+    runs = property(attrgetter("_runs"))
+
+    def __init__(self, runs=()):
+        kept, size = [], 0
+        for block, count in runs:
+            if block and count:
+                size += len(block) * count
+                if kept and kept[-1][0] == block:
+                    block, count = kept[-1][0], kept.pop()[1] + count
+                kept.append((tuple(block), count))
+        self._runs, self._len = tuple(kept), size
+
+    @staticmethod
+    def of(items) -> "Runs":  # items itself, or one run of it
+        return items if type(items) is Runs else Runs(((tuple(items), 1),))
+
+    def items(self):
+        """Every item, once per run instead of once per position."""
+        runs = self._runs
+        return runs[0][0] if len(runs) == 1 else chain.from_iterable(map(_BLOCK, runs))
+
+    def map(self, image) -> "Runs":
+        """Map each block once; an item that several runs hold is mapped once."""
+        if len(self._runs) == 1:
+            return Runs(((tuple(map(image, self._runs[0][0])), self._runs[0][1]),))
+        memo = {x: image(x) for x in dict.fromkeys(self.items())}
+        return Runs([(tuple(map(memo.__getitem__, b)), n) for b, n in self._runs])
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        return chain.from_iterable(chain.from_iterable(starmap(repeat, self._runs)))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        return next(islice(self, range(self._len)[index], None))
+
+    def __eq__(self, other):
+        if not isinstance(other, (Runs, tuple)):
+            return NotImplemented
+        return self._runs == getattr(other, "_runs", None) or (
+            self._len == len(other) and all(map(eq, self, other)))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __add__(self, other):
+        if not isinstance(other, (Runs, tuple)):
+            return NotImplemented
+        return Runs(self._runs + Runs.of(other)._runs) if self._runs else Runs.of(other)
+
+    def __radd__(self, other):
+        return Runs.of(other) + self if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self):
+        return f"Runs({self._runs!r})"
 
 
 # --------------------------------------------------------------------------
@@ -373,19 +441,20 @@ class ColoredTangle:
 
     arcs: tuple[Strand, ...] = ()
     closed: tuple[Strand, ...] = ()
-    crossings: tuple[Crossing, ...] = ()
+    crossings: Runs = Runs()
     top: tuple[Slot, ...] = ()
     bottom: tuple[Slot, ...] = ()
 
     def __post_init__(self):
-        for name in ("arcs", "closed", "crossings", "top", "bottom"):
+        for name in ("arcs", "closed", "top", "bottom"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "crossings", Runs.of(self.crossings))
         arcs, closed = self.arcs, self.closed
         arc_ids = set(map(_ID, arcs))
         known = arc_ids.union(map(_ID, closed))
         if len(known) != len(arcs) + len(closed):
             raise DiagramError("strand ids must be unique")
-        for c in self.crossings:
+        for c in self.crossings.items():
             if c.over not in known or c.under not in known:
                 raise DiagramError("crossing references unknown strand")
         slots = self.top + self.bottom
@@ -426,34 +495,16 @@ def half_twist_tangle(n: int, colors=(None, None)) -> ColoredTangle:
     The arcs enter at the top and leave at the bottom; an odd number of
     half twists swaps which arc exits where.  Colors default to none so
     the same constructor serves both plain sphere slices and their
-    red/blue lifts.  The half twists alternate between two crossings, and
-    the crossing tuple repeats those two shared immutable instances
-    rather than holding |n| copies.
+    red/blue lifts.  The half twists alternate between two shared
+    crossings, so the crossing word is two runs: the pair |n| // 2 times,
+    then its first crossing |n| % 2 times.
     """
     ca, cb = colors
     arcs = (Strand("a", ca), Strand("b", cb))
     pair = _POSITIVE_PAIR if n > 0 else _NEGATIVE_PAIR
     k = abs(n)
-    return ColoredTangle(arcs, (), pair * (k // 2) + pair[:k % 2],
+    return ColoredTangle(arcs, (), Runs(((pair, k // 2), (pair[:1], k % 2))),
                          _TWIST_TOP, _TWIST_BOTTOM[n % 2])
-
-
-def _map_crossings(crossings, image) -> tuple:
-    """``tuple(image(c) for c in crossings)``, calling ``image`` once per
-    distinct crossing instance.
-
-    Crossings are immutable, so positions may share one instance
-    (``half_twist_tangle`` builds only two); the result shares its
-    instances the same way.  ``image`` must depend only on the crossing.
-    """
-    images = {}
-    out = []
-    for c in crossings:
-        new = images.get(id(c))
-        if new is None:
-            new = images[id(c)] = image(c)
-        out.append(new)
-    return tuple(out)
 
 
 def _flip(c: Crossing) -> Crossing:
@@ -463,6 +514,7 @@ def _flip(c: Crossing) -> Crossing:
 _REVERSE = {_IN: _OUT, _OUT: _IN}
 
 
+@lru_cache(maxsize=32)
 def _reversed(wall) -> tuple:
     return tuple(Slot(s.arc, s.end, _REVERSE[s.orientation]) for s in wall)
 
@@ -472,11 +524,9 @@ def reverse_mirror(t: ColoredTangle) -> ColoredTangle:
 
     This is the end-swap a product region induces on its far wall:
     reverse_mirror(half_twist_tangle(n)) has the crossing list of
-    half_twist_tangle(-n).  Each distinct crossing instance of ``t`` is
-    flipped once, so the result shares its immutable crossings the way
-    ``t`` does.
+    half_twist_tangle(-n), in the same runs.
     """
-    return ColoredTangle(t.arcs, t.closed, _map_crossings(t.crossings, _flip),
+    return ColoredTangle(t.arcs, t.closed, t.crossings.map(_flip),
                          _reversed(t.top), _reversed(t.bottom))
 
 
@@ -520,15 +570,15 @@ class BicoloredLink:
     """A closed diagram: colored components and signed crossings."""
 
     components: tuple[LinkComponent, ...] = ()
-    crossings: tuple[Crossing, ...] = ()
+    crossings: Runs = Runs()
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "crossings", tuple(self.crossings))
+        object.__setattr__(self, "crossings", Runs.of(self.crossings))
         known = set(map(_ID, self.components))
         if len(known) != len(self.components):
             raise DiagramError("component ids must be unique")
-        for c in self.crossings:
+        for c in self.crossings.items():
             if c.over not in known or c.under not in known:
                 raise DiagramError("crossing references unknown component")
 
@@ -565,11 +615,9 @@ def close_tangle(t: ColoredTangle) -> BicoloredLink:
             comps.append(LinkComponent(root, t.color_of(root)))
     for s in t.closed:
         comps.append(LinkComponent(s.id, s.color))
-    def target(sid):
-        return merge.find(sid) if any(a.id == sid for a in t.arcs) else sid
-    crossings = tuple(Crossing(target(c.over), target(c.under), c.sign)
-                      for c in t.crossings)
-    return BicoloredLink(tuple(comps), crossings)
+    target = {s.id: merge.find(s.id) for s in t.arcs}
+    return BicoloredLink(tuple(comps), t.crossings.map(lambda c: Crossing(
+        target.get(c.over, c.over), target.get(c.under, c.under), c.sign)))
 
 
 def stack_tangles(upper: ColoredTangle, lower: ColoredTangle) -> ColoredTangle:
@@ -607,13 +655,12 @@ def stack_tangles(upper: ColoredTangle, lower: ColoredTangle) -> ColoredTangle:
         seen.add(nid)
         strand = Strand(nid, color[key])
         (arcs if nid in open_ends else closed).append(strand)
-    crossings = [Crossing(rename(up[c.over]), rename(up[c.under]), c.sign)
-                 for c in upper.crossings]
-    crossings += [Crossing(rename(lo[c.over]), rename(lo[c.under]), c.sign)
-                  for c in lower.crossings]
+    def moved(keys):
+        return lambda c: Crossing(rename(keys[c.over]), rename(keys[c.under]), c.sign)
+    crossings = upper.crossings.map(moved(up)) + lower.crossings.map(moved(lo))
     top = tuple(Slot(rename(up[s.arc]), s.end, s.orientation) for s in upper.top)
     bottom = tuple(Slot(rename(lo[s.arc]), s.end, s.orientation) for s in lower.bottom)
-    return ColoredTangle(tuple(arcs), tuple(closed), tuple(crossings), top, bottom)
+    return ColoredTangle(tuple(arcs), tuple(closed), crossings, top, bottom)
 
 
 # --------------------------------------------------------------------------
@@ -658,7 +705,9 @@ def bicolored_linking(link: BicoloredLink) -> int:
         if comp.color not in (RED, BLUE):
             raise DiagramError(f"component {comp.id!r} is not colored red or blue")
     color = {c.id: c.color for c in link.components}
-    total = sum(c.sign for c in link.crossings if color[c.over] != color[c.under])
+    total = 0
+    for block, n in link.crossings.runs:
+        total += n * sum(c.sign for c in block if color[c.over] != color[c.under])
     if total % 2:
         raise DiagramError("mixed crossings of a closed diagram must pair up")
     return total // 2
@@ -666,7 +715,7 @@ def bicolored_linking(link: BicoloredLink) -> int:
 
 def mirror_image(d):
     """Flip every crossing of a tangle or link."""
-    return replace(d, crossings=_map_crossings(d.crossings, _flip))
+    return replace(d, crossings=d.crossings.map(_flip))
 
 
 def swap_colors(d):
@@ -737,5 +786,5 @@ def reidemeister(d, move: str, site):
             raise BadSite("R3 needs a strand passing over two of the crossings")
         new = list(d.crossings)
         new[i], new[j], new[k] = new[k], new[i], new[j]
-        return replace(d, crossings=tuple(new))
+        return replace(d, crossings=new)
     raise DiagramError(f"unknown Reidemeister move {move!r}")

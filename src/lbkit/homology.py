@@ -264,10 +264,6 @@ class AbelianGroup:
                 raise ValueError("invariant factors must form a divisibility chain")
 
     @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
-
-    @property
     def arity(self) -> int:
         return len(self.invariant_factors) + self.free_rank
 

@@ -19,10 +19,11 @@ from non-concordance.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from .covers import lift_wiring
+from .diagrams import Runs
 from .homology import AbelianGroup, _require_exact
 from .obstruction import NotHomotopic, concordance_obstruction
 
@@ -85,23 +86,23 @@ class HomotopyTrace:
 
     Construction does not enforce the counting invariants; that is what
     ``cycle_validate`` reports, so invalid hypothetical traces can be
-    represented and rejected.
+    represented and rejected.  Moves and cycles are ``Runs``.
     """
 
     group: AbelianGroup
-    moves: tuple = ()
-    cycles: tuple[Cycle, ...] = ()
+    moves: Runs = Runs()
+    cycles: Runs = Runs()
 
     def __post_init__(self):
-        object.__setattr__(self, "moves", tuple(self.moves))
-        object.__setattr__(self, "cycles", tuple(self.cycles))
-        for move in self.moves:
+        object.__setattr__(self, "moves", Runs.of(self.moves))
+        object.__setattr__(self, "cycles", Runs.of(self.cycles))
+        for move in self.moves.items():
             if not isinstance(move, (FingerMove, WhitneyMove)):
                 raise InvalidTrace("moves must be finger or Whitney moves")
 
-    @property
+    @cached_property
     def finger_count(self) -> int:
-        return sum(1 for m in self.moves if isinstance(m, FingerMove))
+        return sum(n for b, n in self.moves.runs for m in b if isinstance(m, FingerMove))
 
     @property
     def whitney_count(self) -> int:
@@ -114,9 +115,10 @@ def empty_trace(group: AbelianGroup) -> HomotopyTrace:
 
 
 _Z2 = AbelianGroup(0, (2,))
-# The moves and cycle of a twist step, the same for every step.
-_STEP_MOVES = (FingerMove((1,)), WhitneyMove((1,)))
-_STEP_CYCLES = (Cycle(True, (1,), 2, 2),)
+_NO_STEPS = empty_trace(_Z2)
+_order_two = lru_cache(maxsize=64)(AbelianGroup.elements_of_order_two)
+_STEP = HomotopyTrace(_Z2, (FingerMove((1,)), WhitneyMove((1,))),
+                      (Cycle(True, (1,), 2, 2),))
 
 
 def twist_homotopy(n: int) -> HomotopyTrace:
@@ -129,7 +131,7 @@ def twist_homotopy(n: int) -> HomotopyTrace:
     at.
     """
     del n
-    return HomotopyTrace(_Z2, moves=_STEP_MOVES, cycles=_STEP_CYCLES)
+    return _STEP
 
 
 def concat(a: HomotopyTrace, b: HomotopyTrace) -> HomotopyTrace:
@@ -144,14 +146,14 @@ def connecting_homotopy(i: int, j: int) -> HomotopyTrace:
 
     It is the one-step homotopy from min(i, j) run |i - j| / 2 times.
     A step's trace data does not depend on where it starts, so the run
-    is built by doubling: O(log k) ``concat`` calls copying O(k) moves
-    in all, where step-by-step concatenation copies O(k^2).
+    is built by doubling: O(log k) ``concat`` calls, each O(runs), since
+    joining equal steps merges them into one run of each.
     """
     if (i - j) % 2:
         raise NotHomotopic(f"twist counts {i} and {j} are not homotopic, "
                            "no connecting homotopy exists")
     one = twist_homotopy(min(i, j))
-    trace = empty_trace(_Z2)
+    trace = _NO_STEPS
     for bit in bin(abs(i - j) // 2)[2:]:
         if trace.moves:
             trace = concat(trace, trace)
@@ -164,11 +166,11 @@ def cycle_validate(t: HomotopyTrace) -> bool:
     """Counting checks: minima pair with finger moves, maxima with
     Whitney moves, and crossed cycles carry order <= 2 elements (each
     distinct element is checked once, in order of first appearance)."""
-    if sum(c.minima for c in t.cycles) != 2 * t.finger_count:
+    if sum(n * c.minima for b, n in t.cycles.runs for c in b) != 2 * t.finger_count:
         return False
-    if sum(c.maxima for c in t.cycles) != 2 * t.whitney_count:
+    if sum(n * c.maxima for b, n in t.cycles.runs for c in b) != 2 * t.whitney_count:
         return False
-    for element in dict.fromkeys(c.element for c in t.cycles if c.crossed):
+    for element in dict.fromkeys(c.element for c in t.cycles.items() if c.crossed):
         order = t.group.order(element)
         if order is None or order > 2:
             return False
@@ -192,7 +194,7 @@ class CrossedClass:
                        "class elements and bits", InvalidTrace)
         parities = tuple(sorted((el, bit % 2) for el, bit in pairs))
         object.__setattr__(self, "parities", parities)
-        expected = self.group.elements_of_order_two()
+        expected = _order_two(self.group)
         if tuple(el for el, _ in parities) != expected:
             raise InvalidTrace(
                 "class keys must be exactly the order-2 elements of the group")
@@ -219,14 +221,14 @@ class CrossedClass:
 def crossed_class(t: HomotopyTrace) -> CrossedClass:
     """The Z/2 class of a trace: uncrossed cycles are ignored, crossed
     cycles on the trivial element contribute to no key.  The class is
-    additive, so crossed cycles are counted per element carried and each
-    distinct element is reduced once."""
-    counts = {el: 0 for el in t.group.elements_of_order_two()}
-    crossed = Counter(c.element for c in t.cycles if c.crossed)
-    for element, n in crossed.items():
-        el = t.group.reduce(element)
-        if el in counts:
-            counts[el] += n
+    additive, so each crossed cycle of a run is reduced once and counted
+    as many times as the run repeats."""
+    counts = {el: 0 for el in _order_two(t.group)}
+    for block, n in t.cycles.runs:
+        for c in block:
+            el = t.group.reduce(c.element) if c.crossed else None
+            if el in counts:
+                counts[el] += n
     return CrossedClass(
         t.group, tuple((el, n % 2) for el, n in sorted(counts.items())))
 

@@ -21,7 +21,6 @@ added term even, so the parity is unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .diagrams import (
     BLUE,
@@ -32,9 +31,9 @@ from .diagrams import (
     Crossing,
     DiagramError,
     LinkComponent,
+    Runs,
     Slot,
     Strand,
-    _map_crossings,
     bicolored_linking,
     half_twist_tangle,
     reverse_mirror,
@@ -144,8 +143,7 @@ def clasped_side(color: str, clasps: int = 0,
     return ColoredTangle(
         arcs=(Strand("t", color),),
         closed=closed,
-        crossings=tuple(Crossing("t", "u", sign)
-                        for _ in range(2 * abs(clasps))),
+        crossings=Runs((((Crossing("t", "u", sign),), 2 * abs(clasps)),)),
         top=(Slot("t", 0, "in"),),
         bottom=(Slot("t", 1, "out"),),
     )
@@ -156,8 +154,7 @@ def cap_link(linking: int) -> BicoloredLink:
     sign = 1 if linking >= 0 else -1
     return BicoloredLink(
         components=(LinkComponent("r", RED), LinkComponent("b", BLUE)),
-        crossings=tuple(Crossing("r", "b", sign)
-                        for _ in range(2 * abs(linking))))
+        crossings=Runs((((Crossing("r", "b", sign),), 2 * abs(linking)),)))
 
 
 def model_slice(i: int, j: int) -> ConcordanceSlice:
@@ -205,23 +202,19 @@ _FUSED = {color: LinkComponent(color, color) for color in (RED, BLUE)}
 def _merge_regions(regions) -> BicoloredLink:
     """Merge tangles into one closed diagram: arcs fuse into one
     component per color, closed components are kept with region-prefixed
-    ids.  Each distinct crossing instance of a region is renamed once."""
-    present, closed, crossings = set(), [], []
+    ids.  Each distinct crossing of a region is renamed once."""
+    present, closed, runs = set(), [], []
     for label, tangle in regions:
         rename = {arc.id: arc.color for arc in tangle.arcs}
         present.update(rename.values())
         for s in tangle.closed:
             new = rename[s.id] = f"{label}.{s.id}"
             closed.append(LinkComponent(new, s.color))
-        if tangle.crossings:
-            crossings.extend(_map_crossings(tangle.crossings,
-                                            partial(_renamed, rename)))
+        if tangle.crossings.runs:
+            runs += tangle.crossings.map(
+                lambda c: Crossing(rename[c.over], rename[c.under], c.sign)).runs
     colors = [_FUSED[color] for color in (RED, BLUE) if color in present]
-    return BicoloredLink(tuple(colors + closed), tuple(crossings))
-
-
-def _renamed(rename: dict, c: Crossing) -> Crossing:
-    return Crossing(rename[c.over], rename[c.under], c.sign)
+    return BicoloredLink(tuple(colors + closed), Runs(runs))
 
 
 def assemble_link(s: ConcordanceSlice) -> BicoloredLink:

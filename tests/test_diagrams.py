@@ -7,7 +7,7 @@ from lbkit.diagrams import (
     RED, BLUE, PURPLE,
     DiagramError, ColorMismatch, BadSite,
     BraidWord, AnnularComponent, AnnularLink,
-    Strand, Crossing, Slot, ColoredTangle, LinkComponent, BicoloredLink,
+    Runs, Strand, Crossing, Slot, ColoredTangle, LinkComponent, BicoloredLink,
     components_and_windings, braid_closure, braid_closure_link,
     normalize_to_writhe, half_twist_tangle, empty_tangle, reverse_mirror,
     close_tangle, stack_tangles, bicolored_linking, mirror_image,
@@ -625,6 +625,8 @@ class TestValidatorsMatchReference:
         t = ColoredTangle([Strand("a")], [], [Crossing("a", "a", 1)],
                           [Slot("a", 0, "in")], [Slot("a", 1, "out")])
         link = BicoloredLink([LinkComponent("a")], [Crossing("a", "a", 1)])
-        for value in (t.arcs, t.closed, t.crossings, t.top, t.bottom,
-                      link.components, link.crossings):
+        for value in (t.arcs, t.closed, t.top, t.bottom, link.components):
             assert type(value) is tuple
+        for value in (t.crossings, link.crossings):
+            assert type(value) is Runs
+            assert value == (Crossing("a", "a", 1),)

@@ -1,0 +1,266 @@
+"""Runs, the run-length sequence behind crossing words and traces.
+
+Three kinds of check.  A model test holds ``Runs`` to the expanded tuple
+it stands for.  Positional references, written against ``tuple(...)`` of
+a word and taking one step per position, must agree with the per-run
+evaluators.  Memory bounds keep huge twist counts from allocating by
+position.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lbkit.diagrams import (
+    BLUE, RED, BadSite, Runs, bicolored_linking, half_twist_tangle,
+    reidemeister, reverse_mirror,
+)
+from lbkit.homology import AbelianGroup
+from lbkit.homotopy import (
+    CrossedClass, Cycle, FingerMove, HomotopyTrace, WhitneyMove,
+    connecting_homotopy, crossed_class, cycle_validate,
+)
+from lbkit.obstruction import (
+    ConcordanceSlice, assemble_link, clasped_side, model_slice, slice_linking,
+)
+
+Z2Z4 = AbelianGroup(0, (2, 4))
+
+# --------------------------------------------------------------------------
+# the model: Runs against the expanded tuple
+
+
+blocks = st.lists(st.sampled_from("abc"), max_size=3).map(tuple)
+run_lists = st.lists(st.tuples(blocks, st.integers(0, 4)), max_size=5)
+
+
+def expand(runs):
+    return tuple(x for block, count in runs for _ in range(count) for x in block)
+
+
+class TestModel:
+    @settings(max_examples=300)
+    @given(run_lists, run_lists, st.data())
+    def test_runs_behave_like_the_expanded_tuple(self, a, b, data):
+        r, t, u = Runs(a), expand(a), expand(b)
+        assert len(r) == len(t)
+        assert list(r) == list(t)
+        for k in range(-len(t), len(t)):
+            assert r[k] == t[k]
+        for k in (len(t), -len(t) - 1):
+            with pytest.raises(IndexError):
+                r[k]
+        s = data.draw(st.slices(len(t) + 2))
+        assert type(r[s]) is tuple and r[s] == t[s]
+        assert r + u == t + u and u + r == u + t
+        assert r + Runs(b) == t + u
+        assert type(r + u) is Runs and type(u + r) is Runs
+        assert r == t and t == r and not r != t
+        assert (r == Runs(b)) == (t == u)
+        assert r != list(t)
+        assert hash(r) == hash(t)
+
+    def test_equal_neighbouring_blocks_merge(self):
+        pair = ("a", "b")
+        joined = Runs(((pair, 2),)) + Runs(((pair, 3),)) + pair
+        assert joined.runs == ((pair, 6),)
+        assert Runs(((pair, 1), ((), 4), (pair, 0), (pair, 2))).runs == ((pair, 3),)
+
+    def test_coercion_keeps_a_runs_and_wraps_a_sequence(self):
+        r = Runs(((("a",), 2),))
+        assert Runs.of(r) is r
+        assert Runs.of(["a", "b"]).runs == ((("a", "b"), 1),)
+        assert Runs.of(()).runs == ()
+
+    def test_runs_is_immutable(self):
+        r = Runs(((("a",), 2),))
+        with pytest.raises(AttributeError):
+            r.runs = ()
+        with pytest.raises(AttributeError):
+            r.extra = 1
+
+
+# --------------------------------------------------------------------------
+# positional references: one step per position of tuple(...)
+
+
+def reference_linking(link):
+    """Half the signed sum of red-blue crossings, one crossing at a time."""
+    color = {c.id: c.color for c in link.components}
+    total = 0
+    for c in tuple(link.crossings):
+        if color[c.over] != color[c.under]:
+            total += c.sign
+    assert total % 2 == 0
+    return total // 2
+
+
+def reference_slice_linking(s):
+    """The assembled boundary link's linking, by the positional sum."""
+    return reference_linking(assemble_link(s))
+
+
+def reference_validate(t):
+    """The counting checks with one step per move and per cycle."""
+    moves, cycles = tuple(t.moves), tuple(t.cycles)
+    fingers = sum(1 for m in moves if isinstance(m, FingerMove))
+    if sum(c.minima for c in cycles) != 2 * fingers:
+        return False
+    if sum(c.maxima for c in cycles) != 2 * (len(moves) - fingers):
+        return False
+    for c in cycles:
+        if c.crossed:
+            order = t.group.order(c.element)
+            if order is None or order > 2:
+                return False
+    return True
+
+
+def reference_class(t):
+    """The crossed-cycle class with one reduction per crossed cycle."""
+    counts = {el: 0 for el in t.group.elements_of_order_two()}
+    for c in tuple(t.cycles):
+        if c.crossed:
+            el = t.group.reduce(c.element)
+            if el in counts:
+                counts[el] += 1
+    return CrossedClass(t.group, tuple(sorted(counts.items())))
+
+
+def same_parity(i, j):
+    """j moved by one towards zero when i and j differ in parity."""
+    return j if (i - j) % 2 == 0 else j - 1 if j > 0 else j + 1
+
+
+twists = st.integers(-800, 800)
+# Cycles over Z/2 + Z/4, some of order 4 and some unreduced, in runs.
+cycles = st.builds(Cycle, st.booleans(),
+                   st.sampled_from(((0, 0), (1, 0), (0, 2), (3, -2), (0, 1))),
+                   st.integers(0, 2), st.integers(0, 2))
+cycle_runs = st.lists(st.tuples(st.lists(cycles, max_size=3).map(tuple),
+                                st.integers(0, 4)), max_size=4)
+
+
+class TestAgainstPositionalReferences:
+    @settings(max_examples=200)
+    @given(twists, twists)
+    def test_slice_linking(self, i, j):
+        j = same_parity(i, j)
+        s = model_slice(i, j)
+        assert slice_linking(s) == reference_slice_linking(s) == (i - j) // 2
+        link = assemble_link(s)
+        assert len(link.crossings) == abs(i) + abs(j)
+        assert bicolored_linking(link) == reference_linking(link)
+
+    @settings(max_examples=100)
+    @given(twists, twists, st.integers(-3, 3), st.integers(-3, 3))
+    def test_decorated_slice_linking(self, i, j, plus, minus):
+        j = same_parity(i, j)
+        s = ConcordanceSlice(
+            inner=half_twist_tangle(i, (RED, BLUE)),
+            outer=reverse_mirror(half_twist_tangle(j, (RED, BLUE))),
+            side_plus_red=clasped_side(RED, plus, plain_extras=1),
+            side_plus_blue=clasped_side(BLUE, plus),
+            side_minus_red=clasped_side(RED, minus),
+            side_minus_blue=clasped_side(BLUE, 0))
+        assert slice_linking(s) == reference_slice_linking(s)
+
+    @settings(max_examples=200)
+    @given(twists, twists)
+    def test_connecting_homotopy_checks(self, i, j):
+        j = same_parity(i, j)
+        t = connecting_homotopy(i, j)
+        assert len(t.moves) == abs(i - j) and len(t.cycles) == abs(i - j) // 2
+        assert cycle_validate(t) == reference_validate(t)
+        assert crossed_class(t) == reference_class(t)
+
+    @settings(max_examples=200)
+    @given(cycle_runs, st.integers(0, 6), st.integers(0, 6))
+    def test_multi_run_trace_checks(self, runs, fingers, whitneys):
+        moves = Runs((((FingerMove((1, 0)),), fingers),
+                      ((WhitneyMove((0, 2)),), whitneys)))
+        t = HomotopyTrace(Z2Z4, moves, Runs(runs))
+        assert cycle_validate(t) == reference_validate(t)
+        assert crossed_class(t) == reference_class(t)
+
+    @settings(max_examples=150)
+    @given(st.integers(-40, 40), st.integers(-20, 20), st.lists(st.tuples(
+        st.sampled_from(("R1", "R2", "R3")), st.integers(0, 10 ** 6),
+        st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+        st.sampled_from((1, -1))), max_size=12))
+    def test_reidemeister_sequences_on_assembled_links(self, i, k, moves):
+        link = assemble_link(model_slice(i, i + 2 * k))
+        ids = [c.id for c in link.components]
+        for move, x, y, z, sign in moves:
+            n = len(link.crossings)
+            if move == "R1":
+                site = (ids[x % len(ids)], sign)
+            elif move == "R2":
+                site = (ids[x % len(ids)], ids[y % len(ids)], sign)
+            elif n < 3:
+                continue
+            else:
+                site = (x % n, y % n, z % n)
+            try:
+                link = reidemeister(link, move, site)
+            except BadSite:
+                continue
+            assert bicolored_linking(link) == reference_linking(link)
+
+
+# --------------------------------------------------------------------------
+# memory: huge twist counts stay a few runs
+
+
+# Run in a child whose address space is capped, so a regression to
+# per-position words fails with MemoryError instead of taking gigabytes.
+MEMORY_PROBE = """
+import json, resource, tracemalloc
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap if hard < 0 else min(cap, hard), hard))
+from lbkit.diagrams import half_twist_tangle
+from lbkit.homotopy import classify, connecting_homotopy
+from lbkit.obstruction import concordance_obstruction
+
+def measured(call):
+    tracemalloc.reset_peak()
+    value = call()
+    return value, tracemalloc.get_traced_memory()[1]
+
+tracemalloc.start()
+out = {}
+t, peak = measured(lambda: half_twist_tangle(10 ** 9))
+out["tangle"] = [len(t.crossings), peak]
+value, peak = measured(lambda: concordance_obstruction(0, 2 * 10 ** 9))
+out["obstruction"] = [value, peak]
+t, peak = measured(lambda: connecting_homotopy(0, 2 * 10 ** 9))
+out["homotopy"] = [len(t.moves), len(t.cycles), t.finger_count, peak]
+r, peak = measured(lambda: classify(0, 4 * 10 ** 9))
+out["classify"] = [r.homotopic, r.topologically_concordant, r.smoothly_isotopic, peak]
+print(json.dumps(out))
+"""
+
+
+def test_huge_twist_counts_stay_small_in_memory():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", MEMORY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    limit = 1 << 20
+    assert out["tangle"][0] == 10 ** 9 and out["tangle"][1] < limit
+    # ((i - j) / 2) mod 2 with i - j = -2 * 10**9
+    assert out["obstruction"] == [0, out["obstruction"][1]]
+    assert out["obstruction"][1] < limit
+    # k = 10**9 steps: 2k moves, k cycles, k finger moves
+    assert out["homotopy"][:3] == [2 * 10 ** 9, 10 ** 9, 10 ** 9]
+    assert out["homotopy"][3] < limit
+    # k = 2 * 10**9 steps: even, so concordant and isotopic
+    assert out["classify"][:3] == [True, True, True] and out["classify"][3] < limit
