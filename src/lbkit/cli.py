@@ -46,11 +46,11 @@ __all__ = ["main"]
 
 _TABLE_HEADER = ["i", "j", "equivalent", "homotopic", "concordant", "isotopic"]
 
-# Largest values the CLI accepts, checked before anything is built:
-# |--i| and |--j| of classify, obstruct and homotopy-class (tangles and
-# traces grow linearly in them), |LO| and |HI| of table --range (the
-# table classifies every pair in the square), and cover --degree (the
-# covering word is the base word repeated that many times).
+# Largest values the CLI accepts, checked before anything is built: |--i|
+# and |--j| of classify, obstruct and homotopy-class (the documented input
+# range; run-length tangles and traces do not grow with it), |LO| and |HI| of
+# table --range (the table classifies every pair in the square), and cover
+# --degree (the covering word is the base word repeated that many times).
 MAX_TWIST = 10_000
 MAX_TABLE_TWIST = 100
 MAX_COVER_DEGREE = 1024

@@ -34,6 +34,7 @@ from .diagrams import (
     BicoloredLink,
     ColoredTangle,
     DiagramError,
+    _TWIST_BOTTOM,
     _half_sum,
     _letter_sums,
     half_twist_tangle,
@@ -61,7 +62,20 @@ def _lookup(table: dict, key: str, what: str):
         raise DiagramError(f"no {what} {key!r}") from None
 
 
-class _CoverMixin:
+@dataclass(frozen=True)
+class _Cover:
+    """A cyclic cover: the base, the degree and the covering object.
+
+    ``component_map`` rows are (cover id, base id, sheet label); ``deck``
+    pairs give the generator of the deck group on components.
+    """
+
+    base: AnnularLink | KirbyDiagram
+    degree: int
+    total: AnnularLink | KirbyDiagram
+    component_map: tuple[tuple[str, str, str], ...]
+    deck: tuple[tuple[str, str], ...]
+
     @staticmethod
     def _row(rows, cid: str) -> tuple:
         for row in rows:
@@ -82,30 +96,13 @@ class _CoverMixin:
         return self._row(self.deck, cid)[1]
 
 
-@dataclass(frozen=True)
-class LinkCover(_CoverMixin):
-    """A cyclic cover of an annular link.
-
-    ``component_map`` rows are (cover id, base id, sheet label); ``deck``
-    pairs give the generator of the deck group on components.
-    """
-
-    base: AnnularLink
-    degree: int
-    total: AnnularLink
-    component_map: tuple[tuple[str, str, str], ...]
-    deck: tuple[tuple[str, str], ...]
+class LinkCover(_Cover):
+    """A cyclic cover of an annular link."""
 
 
 @dataclass(frozen=True)
-class CoverData(_CoverMixin):
+class CoverData(_Cover):
     """A double cover at the handle-diagram level."""
-
-    base: KirbyDiagram
-    degree: int
-    total: KirbyDiagram
-    component_map: tuple[tuple[str, str, str], ...]
-    deck: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
         if self.degree != 2:
@@ -260,14 +257,11 @@ def lift_sphere_tangles(s: SphereEmbedding) -> tuple[ColoredTangle, ColoredTangl
 def lift_wiring(twists: int) -> int:
     """Which bottom slot of the lifted ball tangle the red arc reaches.
 
-    Two spheres are homotopic exactly when their lifts wire the ball
-    boundaries the same way, i.e. when this index agrees.
+    Read off the bottom wall ``half_twist_tangle`` picks by twist parity (its
+    red arc is ``"a"``).  Two spheres are homotopic exactly when their lifts
+    wire the ball boundaries the same way, i.e. when this index agrees.
     """
-    t = half_twist_tangle(twists, (RED, BLUE))
-    for k, slot in enumerate(t.bottom):
-        if t.color_of(slot.arc) == RED:
-            return k
-    raise DiagramError("lifted tangle has no red arc")
+    return [slot.arc for slot in _TWIST_BOTTOM[twists % 2]].index("a")
 
 
 def deck_image(cover, obj):

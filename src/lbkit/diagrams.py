@@ -82,7 +82,8 @@ class BadSite(DiagramError):
 class Runs:
     """An immutable sequence of ``(block, count)`` runs, each the tuple ``block``
     repeated ``count`` times.  ``len``, iteration, indexing, slicing, ``==`` and
-    ``hash`` see the expanded tuple; equal neighbouring blocks merge."""
+    ``hash`` see the expanded tuple; equal neighbouring blocks merge.  ``len()``
+    fails past ``sys.maxsize``, so counts and truth tests read the runs instead."""
 
     __slots__ = ("_runs", "_len")
     runs = property(attrgetter("_runs"))
@@ -115,6 +116,9 @@ class Runs:
 
     def __len__(self):
         return self._len
+
+    def __bool__(self):
+        return bool(self._runs)
 
     def __iter__(self):
         return chain.from_iterable(chain.from_iterable(starmap(repeat, self._runs)))
@@ -606,16 +610,10 @@ def close_tangle(t: ColoredTangle) -> BicoloredLink:
         if ts.orientation == bs.orientation:
             raise OrientationMismatch(f"slot {k}: strands do not run head to tail")
         merge.union(ts.arc, bs.arc)
-    rename = {}
-    comps = []
-    for s in t.arcs:
-        root = merge.find(s.id)
-        if root not in rename:
-            rename[root] = root
-            comps.append(LinkComponent(root, t.color_of(root)))
-    for s in t.closed:
-        comps.append(LinkComponent(s.id, s.color))
     target = {s.id: merge.find(s.id) for s in t.arcs}
+    comps = [LinkComponent(root, t.color_of(root))
+             for root in dict.fromkeys(target.values())]
+    comps += [LinkComponent(s.id, s.color) for s in t.closed]
     return BicoloredLink(tuple(comps), t.crossings.map(lambda c: Crossing(
         target.get(c.over, c.over), target.get(c.under, c.under), c.sign)))
 

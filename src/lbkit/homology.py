@@ -83,9 +83,6 @@ class IntMatrix:
     def identity(cls, n):
         return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
 
 def _xgcd(a, b):
     """(g, s, r) with s * a + r * b = g = ±gcd(a, b), for b != 0."""
@@ -266,9 +263,6 @@ class AbelianGroup:
     @property
     def arity(self) -> int:
         return len(self.invariant_factors) + self.free_rank
-
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.arity
 
     def reduce(self, element) -> tuple[int, ...]:
         element = tuple(element)

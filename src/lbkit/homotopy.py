@@ -45,7 +45,9 @@ class InvalidTrace(ValueError):
 
 
 @dataclass(frozen=True)
-class FingerMove:
+class _Move:
+    """A move along a group element; the subclass names its kind."""
+
     element: tuple[int, ...]
 
     def __post_init__(self):
@@ -53,13 +55,12 @@ class FingerMove:
         _require_exact(int, self.element, "group elements", InvalidTrace)
 
 
-@dataclass(frozen=True)
-class WhitneyMove:
-    element: tuple[int, ...]
+class FingerMove(_Move):
+    """Creates a pair of double points."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "element", tuple(self.element))
-        _require_exact(int, self.element, "group elements", InvalidTrace)
+
+class WhitneyMove(_Move):
+    """Cancels a pair of double points."""
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,9 @@ class HomotopyTrace:
     def finger_count(self) -> int:
         return sum(n for b, n in self.moves.runs for m in b if isinstance(m, FingerMove))
 
-    @property
+    @cached_property
     def whitney_count(self) -> int:
-        # __post_init__ admits only finger and Whitney moves
-        return len(self.moves) - self.finger_count
+        return sum(n for b, n in self.moves.runs for m in b if isinstance(m, WhitneyMove))
 
 
 def empty_trace(group: AbelianGroup) -> HomotopyTrace:
@@ -229,8 +229,7 @@ def crossed_class(t: HomotopyTrace) -> CrossedClass:
             el = t.group.reduce(c.element) if c.crossed else None
             if el in counts:
                 counts[el] += n
-    return CrossedClass(
-        t.group, tuple((el, n % 2) for el, n in sorted(counts.items())))
+    return CrossedClass(t.group, tuple(counts.items()))
 
 
 def lightbulb_check(t: HomotopyTrace, common_dual: bool,

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from lbkit.diagrams import (
     RED, BLUE, PURPLE,
-    DiagramError, ColorMismatch, BadSite,
+    DiagramError, ColorMismatch, OrientationMismatch, BadSite,
     BraidWord, AnnularComponent, AnnularLink,
     Runs, Strand, Crossing, Slot, ColoredTangle, LinkComponent, BicoloredLink,
     components_and_windings, braid_closure, braid_closure_link,
@@ -365,6 +365,20 @@ class TestStacking:
             stack_tangles(a, b)
         # a compensating twist fixes it
         stack_tangles(a, half_twist_tangle(1, (BLUE, RED)))
+
+    def test_stack_rejects_two_out_walls(self):
+        upper = half_twist_tangle(0)
+        lower = reverse_mirror(half_twist_tangle(0))  # its top wall runs out
+        with pytest.raises(OrientationMismatch,
+                           match="wall slot 0: strands do not run head to tail"):
+            stack_tangles(upper, lower)
+
+    def test_close_rejects_two_heads(self):
+        t = ColoredTangle((Strand("a"),), (), (), (Slot("a", 0, "in"),),
+                          (Slot("a", 1, "in"),))
+        with pytest.raises(OrientationMismatch,
+                           match="slot 0: strands do not run head to tail"):
+            close_tangle(t)
 
 
 class TestLinkOperations:

@@ -275,6 +275,17 @@ class TestClassifier:
         assert classify(0, 2).evidence["smoothly_isotopic"] == \
             "not concordant"
 
+    def test_positions_past_sys_maxsize(self):
+        # len() of these traces would overflow; every count reads the runs
+        r = classify(0, 2**64)
+        assert (r.homotopic, r.topologically_concordant,
+                r.smoothly_isotopic) == (True, True, True)
+        r = classify(0, 2**65 + 2)
+        assert (r.homotopic, r.topologically_concordant,
+                r.smoothly_isotopic) == (True, False, False)
+        t = connecting_homotopy(0, 2**66)
+        assert (t.finger_count, t.whitney_count) == (2**65, 2**65)
+
     def test_crossed_class_refuses_non_int_elements(self):
         c = crossed_class(twist_homotopy(0))
         assert c.of((3,)) == 1

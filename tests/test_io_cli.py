@@ -27,7 +27,7 @@ from lbkit.homology import AbelianGroup
 from lbkit.homotopy import classify, crossed_class, twist_homotopy
 from lbkit.kirby import build_diagram, double, ensure_attaching
 from lbkit.obstruction import clasped_side
-from lbkit.render import render
+from lbkit.render import UnsupportedFormat, render
 from lbkit.serialize import (
     FormatError, annular_to_obj, cover_to_obj, crossed_class_to_obj, dumps,
     group_to_obj, kirby_to_obj, load_diagram, obj_to_annular, obj_to_kirby,
@@ -274,6 +274,17 @@ class TestCli:
         assert code == 0
         root = ET.fromstring(out)
         assert root.tag.endswith("svg")
+
+    def test_library_render_rejects_unknown_formats(self):
+        # the CLI's argparse choices stop these before render sees them
+        with pytest.raises(UnsupportedFormat,
+                           match="unknown format 'pdf' \\(use text or svg\\)"):
+            render(build_diagram(0, 0), "pdf")
+
+    def test_library_render_rejects_undrawable_objects(self):
+        with pytest.raises(UnsupportedFormat,
+                           match="cannot render BraidWord objects"):
+            render(BraidWord(2, ((1, 1),)), "text")
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "build", "--p", "2", "--q", "2")
@@ -770,6 +781,34 @@ def test_library_has_no_assert_statements():
             found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_library_definition_is_referenced():
+    # a def or class nothing names is dead; strings do not count, since a
+    # JSON key such as "zero" would hide an unused method of that name
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    package = os.path.join(root, "src", "lbkit")
+    defined, named = {}, set()
+    for top in (package, os.path.join(root, "tests"), os.path.join(root, "bench")):
+        for folder, _, files in os.walk(top):
+            for name in sorted(f for f in files if f.endswith(".py")):
+                path = os.path.join(folder, name)
+                with open(path) as f:
+                    tree = ast.parse(f.read(), path)
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Name):
+                        named.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        named.add(node.attr)
+                    elif isinstance(node, ast.alias):
+                        named.update((node.name, node.asname))
+                    elif (top == package and isinstance(
+                            node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef))
+                          and not (node.name.startswith("__")
+                                   and node.name.endswith("__"))):
+                        defined.setdefault(node.name, f"{name}:{node.lineno}")
+    assert sorted(v for k, v in defined.items() if k not in named) == []
 
 
 def _subparser(parser, verb):
