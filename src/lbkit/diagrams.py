@@ -33,7 +33,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import chain, islice, product, repeat, starmap
+from itertools import chain, product, repeat, starmap
 from operator import attrgetter, eq, itemgetter
 
 from .homology import _require_exact
@@ -126,7 +126,12 @@ class Runs:
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self)[index]
-        return next(islice(self, range(self._len)[index], None))
+        k = range(self._len)[index]  # any int: negative, or past sys.maxsize
+        for block, count in self._runs:
+            size = len(block) * count
+            if k < size:
+                return block[k % len(block)]
+            k -= size
 
     def __eq__(self, other):
         if not isinstance(other, (Runs, tuple)):

@@ -136,7 +136,7 @@ def twist_homotopy(n: int) -> HomotopyTrace:
 
 def concat(a: HomotopyTrace, b: HomotopyTrace) -> HomotopyTrace:
     """Run one homotopy after the other."""
-    if a.group != b.group:
+    if a.group is not b.group and a.group != b.group:
         raise GroupMismatch("traces live over different groups")
     return HomotopyTrace(a.group, a.moves + b.moves, a.cycles + b.cycles)
 

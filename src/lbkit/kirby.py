@@ -29,8 +29,8 @@ from .diagrams import (
     BraidWord,
     ColoredTangle,
     DiagramError,
+    _letter_sums,
     half_twist_tangle,
-    normalize_to_writhe,
 )
 from .homology import _require_exact
 
@@ -161,6 +161,12 @@ def euler_characteristic(d: KirbyDiagram) -> int:
 
 
 _FAMILY_WORD = BraidWord(4, ((1, -1), (3, 1)))
+_FAMILY_CYCLES = _FAMILY_WORD.cycles()
+# Each cycle's word self-writhe, read off the word once: a braid
+# component's kinks are its framing minus its cycle's self-writhe.
+_FAMILY_SUMS = _letter_sums(
+    _FAMILY_WORD, {s: k for k, cycle in enumerate(_FAMILY_CYCLES) for s in cycle})
+_FAMILY_WRITHES = tuple(_FAMILY_SUMS.get((k, k), 0) for k in range(len(_FAMILY_CYCLES)))
 
 
 def _family_attaching(first: TwoHandle, second: TwoHandle,
@@ -169,13 +175,15 @@ def _family_attaching(first: TwoHandle, second: TwoHandle,
 
     ``first`` takes a negative and ``second`` a positive half twist on
     disjoint strand pairs: the sign split that makes the two curves'
-    double covers come out framed f+1 and f-1.  ``dual`` is split.
+    double covers come out framed f+1 and f-1.  ``dual`` is split, so its
+    kinks are its framing.  The link equals ``normalize_to_writhe`` of the
+    unkinked one, built in one construction.
     """
-    return normalize_to_writhe(AnnularLink(
+    return AnnularLink(
         _FAMILY_WORD,
-        (AnnularComponent(first.id, frozenset({1, 2}), None, first.framing),
-         AnnularComponent(second.id, frozenset({3, 4}), None, second.framing)),
-        (AnnularComponent(dual.id, frozenset(), PURPLE, dual.framing),)))
+        tuple(AnnularComponent(h.id, cycle, None, h.framing, 1, h.framing - writhe)
+              for h, cycle, writhe in zip((first, second), _FAMILY_CYCLES, _FAMILY_WRITHES)),
+        (AnnularComponent(dual.id, frozenset(), PURPLE, dual.framing, 1, dual.framing),))
 
 
 def build_diagram(p: int, q: int) -> KirbyDiagram:

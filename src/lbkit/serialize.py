@@ -9,11 +9,16 @@ treats absence as the default, so round trips are exact.
 Kirby diagrams serialize without their attaching link: the JSON schema
 carries matrices only, and for family-shaped diagrams the attaching
 form is reconstructible (``kirby.ensure_attaching``).
+
+Below Python 3.13 ``json.dumps(obj, indent=2)`` falls back to the
+generator-based pure-Python encoder, because the C encoder has no indent
+support there; ``dumps`` writes the same bytes itself on those versions.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 from .diagrams import (
     AnnularComponent, AnnularLink, BraidWord, ColoredTangle, Crossing, Slot,
@@ -38,7 +43,56 @@ class FormatError(ValueError):
 
 
 def dumps(obj) -> str:
+    """``json.dumps(obj, indent=2)`` plus a newline, byte for byte.
+
+    Below Python 3.13 the stdlib encodes with an indent in pure Python, so
+    a small writer takes exact dicts with str keys, lists, tuples, str,
+    int, bool and None, escaping strings with the stdlib's C escaper.  Any
+    other value (a float, a subclass, a non-str key, a circular or too
+    deep value) goes to ``json.dumps``, which gives the same bytes or
+    raises as ever.  Delete the writer once ``requires-python`` reaches 3.13.
+    """
+    if _WRITER:
+        out: list = []
+        try:
+            _write(obj, "\n", out)
+            return "".join(out) + "\n"
+        except (TypeError, ValueError, RecursionError):
+            pass
     return json.dumps(obj, indent=2) + "\n"
+
+
+_WRITER = sys.version_info < (3, 13)
+_ESCAPE = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _write(value, pad: str, out: list) -> None:
+    """Append the indent-2 JSON chunks of ``value``, whose line breaks are
+    ``pad``; TypeError for what only ``json.dumps`` encodes."""
+    kind = type(value)
+    if kind is int:
+        out.append(int.__repr__(value))
+    elif kind is list or kind is tuple or kind is dict:
+        inner, close = pad + "  ", "}" if kind is dict else "]"
+        out.append("{" if kind is dict else "[")
+        if kind is dict:
+            for key, item in value.items():
+                out.append(inner + _ESCAPE(key) + ": ")
+                _write(item, inner, out)
+                out.append(",")
+        else:
+            for item in value:
+                out.append(inner)
+                _write(item, inner, out)
+                out.append(",")
+        out[-1] = pad + close if value else out[-1] + close  # the last "," or the opener
+    elif kind is str:
+        out.append(_ESCAPE(value))
+    elif kind is bool or value is None:
+        out.append(_CONSTANTS[value])
+    else:
+        raise TypeError(f"{kind.__name__} is left to json.dumps")
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stdout
 from dataclasses import replace
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +90,73 @@ class TestRoundTrips:
         text = dumps({"a": 1})
         assert text.endswith("\n")
         assert text == json.dumps({"a": 1}, indent=2) + "\n"
+
+
+class Level(IntEnum):
+    ONE = 1
+
+
+def outcome(encode, value):
+    """What ``encode`` gives for ``value``: its text, or its exception type."""
+    try:
+        return encode(value)
+    except Exception as err:  # the type is what must match
+        return type(err)
+
+
+def stdlib_dumps(value):
+    return json.dumps(value, indent=2) + "\n"
+
+
+awkward_text = st.lists(st.sampled_from(
+    ["\x00", "\x1f", "\x7f", '"', "\\", "/", "\u2028", "é", "\U0001f600",
+     "\ud800", "\udfff", "a"])).map("".join)
+json_scalars = (st.none() | st.booleans() | st.just(Level.ONE) | st.integers()
+                | st.integers(-2 ** 300, 2 ** 300) | st.floats() | st.text()
+                | awkward_text)
+json_keys = st.text() | awkward_text | st.sampled_from([1, -2.5, True, None])
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(json_keys, inner, max_size=4)),
+    max_leaves=24)
+
+
+class TestDumpsWriter:
+    """``dumps`` writes what ``json.dumps(v, indent=2)`` writes, plus a
+    newline, or raises what it raises."""
+
+    @settings(max_examples=500)
+    @given(json_values)
+    def test_same_bytes_as_the_stdlib(self, value):
+        assert outcome(dumps, value) == outcome(stdlib_dumps, value)
+
+    @pytest.mark.parametrize("value", [
+        [], {}, [[]], {"a": {}}, ({"x": [1, (2, 3)], "y": None},), "\ud800",
+        {"k": [True, False, None, -10 ** 40]}, [float("nan"), float("-inf")],
+        {1: 2, "1": 3}, [Level.ONE], {Level.ONE: 1}])
+    def test_same_bytes_for_edge_values(self, value):
+        assert dumps(value) == stdlib_dumps(value)
+
+    def test_same_exception_types(self):
+        circular = []
+        circular.append(circular)
+        for value in (object(), {1, 2}, circular, [10 ** 4999]):
+            expected = outcome(stdlib_dumps, value)
+            assert isinstance(expected, type) and issubclass(expected, Exception)
+            assert outcome(dumps, value) is expected
+
+    @pytest.mark.skipif(sys.version_info >= (3, 13),
+                        reason="dumps is json.dumps where indent has a C path")
+    def test_pipeline_objects_skip_the_pure_python_encoder(self, monkeypatch):
+        objs = [kirby_to_obj(build_diagram(3, 2)), relation_to_obj(classify(0, 2))]
+        expected = [stdlib_dumps(obj) for obj in objs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pure-Python encoder ran")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        assert [dumps(obj) for obj in objs] == expected
 
 
 class TestLoadDiagram:

@@ -3,7 +3,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lbkit.diagrams import DiagramError, half_twist_tangle
+from lbkit.diagrams import (
+    PURPLE, AnnularComponent, AnnularLink, BraidWord, DiagramError,
+    half_twist_tangle, normalize_to_writhe,
+)
 from lbkit.homology import AbelianGroup, boundary_h1, h1
 from lbkit.kirby import (
     KirbyDiagram, SphereEmbedding, TwoHandle,
@@ -11,6 +14,7 @@ from lbkit.kirby import (
     family_parameters, handle_slide, sphere_square, sphere_tangle,
     standard_sphere,
 )
+from lbkit.serialize import dumps, kirby_to_obj, load_diagram
 
 params = st.integers(-5, 5)
 
@@ -46,6 +50,20 @@ class TestBuildDiagram:
         assert by_id["upper"].kinks == p + 1
         assert by_id["lower"].kinks == q - 1
         assert ensure_attaching(d) is d
+
+    @pytest.mark.parametrize("p", [-2 ** 70 - 1, -3, 0, 1, 2 ** 70, 2 ** 71 + 5])
+    @pytest.mark.parametrize("q", [-2 ** 71, -1, 0, 2, 2 ** 70 + 3])
+    def test_attaching_is_the_normalized_raw_family_link(self, p, q):
+        d = build_diagram(p, q)
+        raw = AnnularLink(
+            BraidWord(4, ((1, -1), (3, 1))),
+            (AnnularComponent("upper", frozenset({1, 2}), None, p),
+             AnnularComponent("lower", frozenset({3, 4}), None, q)),
+            (AnnularComponent("dual", frozenset(), PURPLE, 0),))
+        assert d.attaching == normalize_to_writhe(raw)
+        assert d.attaching.is_normalized()
+        back = ensure_attaching(load_diagram(dumps(kirby_to_obj(d))))
+        assert back.attaching == d.attaching
 
     def test_parameters_reject_other_shapes(self):
         with pytest.raises(DiagramError):

@@ -64,6 +64,28 @@ class TestModel:
         assert r != list(t)
         assert hash(r) == hash(t)
 
+    @settings(max_examples=300)
+    @given(run_lists, st.integers(-40, 40))
+    def test_int_indices_match_the_tuple(self, a, k):
+        r, t = Runs(a), expand(a)
+        if -len(t) <= k < len(t):
+            assert r[k] == t[k]
+        else:
+            with pytest.raises(IndexError):
+                r[k]
+
+    def test_indices_past_sys_maxsize_read_the_runs(self):
+        n = 2 ** 64 + 1  # a full run of (ab, ba) pairs, then one ab
+        crossings = half_twist_tangle(n).crossings
+        small = tuple(half_twist_tangle(5).crossings)
+        for k in (0, 1, 2 ** 63, 2 ** 63 + 1, n - 2, n - 1, -1, -2, -n):
+            assert crossings[k] == small[k % n % 2]
+        for k in (n, 2 ** 65, -n - 1):
+            with pytest.raises(IndexError):
+                crossings[k]
+        long = Runs(((("a", "b", "c"), 10 ** 30), (("d",), 1)))
+        assert long[-1] == "d" and long[-2] == "c" and long[3 * 10 ** 30 - 3] == "a"
+
     def test_equal_neighbouring_blocks_merge(self):
         pair = ("a", "b")
         joined = Runs(((pair, 2),)) + Runs(((pair, 3),)) + pair
