@@ -18,7 +18,9 @@ over its sibling lifts (g = number of lifts).  Every construction
 checks it on each braid lift and raises ``DiagramError`` when it fails;
 split lifts have no siblings to link and satisfy it trivially.  In
 degree 2 the two sheets are labeled r and b and lifts are colored red
-and blue accordingly; the deck involution exchanges them.
+and blue accordingly; the deck involution exchanges them.  The lifts and
+the covering link and diagram are built unchecked from checked records;
+the framing identity and the ``CoverData`` certificate still run.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .diagrams import (
     AnnularComponent,
     AnnularLink,
     BicoloredLink,
+    BraidWord,
     ColoredTangle,
     DiagramError,
     _TWIST_BOTTOM,
@@ -40,7 +43,9 @@ from .diagrams import (
     half_twist_tangle,
     swap_colors,
 )
-from .kirby import KirbyDiagram, SphereEmbedding, TwoHandle, ensure_attaching
+from .homology import _built, _require_exact
+from .kirby import (KirbyDiagram, SphereEmbedding, TwoHandle, _require_unique,
+                    ensure_attaching)
 
 __all__ = [
     "LinkCover", "CoverData",
@@ -134,18 +139,19 @@ def cyclic_cover_link(link: AnnularLink, m: int) -> LinkCover:
     output is normalized again, with lift framings equal to their
     writhes in the covered diagram.  Degree 1 returns the link itself.
     """
+    _require_exact(int, (m,), "cover degree", DiagramError)
     if m < 1:
         raise DiagramError("cover degree must be at least 1")
     if not link.is_normalized():
         raise DiagramError("framings must be normalized to writhe before "
                            "covering (use normalize_to_writhe)")
-    word_m = link.word.power(m)
+    word_m = _built(BraidWord, link.word.strands, link.word.letters * m)
     perm = link.word.permutation()
     cycles = word_m.cycles()
     owner = {s: k for k, cyc in enumerate(cycles) for s in cyc}
     sums = _letter_sums(word_m, owner)
 
-    lifts: dict = {}
+    lifts = [None] * len(cycles)
     split = []
     cover_map: list[tuple[str, str, str]] = []
     deck: list[tuple[str, str]] = []
@@ -162,12 +168,12 @@ def cyclic_cover_link(link: AnnularLink, m: int) -> LinkCover:
             name = comp.id if m == 1 else f"{comp.id}.{label}"
             color = (RED, BLUE)[j] if m == 2 else comp.color
             if rep is None:
-                split.append(AnnularComponent(
+                split.append(_built(AnnularComponent,
                     name, frozenset(), color, kinks, comp.orientation, kinks))
             else:
                 k = owner[rep]
-                lifts[k] = AnnularComponent(
-                    name, cycles[k], color, sums.get((k, k), 0) + kinks,
+                lifts[k] = _built(
+                    AnnularComponent, name, cycles[k], color, sums.get((k, k), 0) + kinks,
                     comp.orientation, kinks)
                 ks.append(k)
                 rep = perm[rep - 1]
@@ -180,9 +186,10 @@ def cyclic_cover_link(link: AnnularLink, m: int) -> LinkCover:
                 raise DiagramError(
                     f"framing identity failed for lift {lifts[k].id!r}")
 
-    total = AnnularLink(word_m, tuple(lifts[k] for k in range(len(cycles))),
-                        tuple(split))
-    return LinkCover(link, m, total, tuple(cover_map), tuple(deck))
+    total = _built(AnnularLink, word_m, tuple(lifts), tuple(split))
+    total.__dict__["_letter_table"] = {  # so the covering word is walked once
+        tuple(sorted((lifts[k].id, lifts[l].id))): v for (k, l), v in sums.items()}
+    return _built(LinkCover, link, m, total, tuple(cover_map), tuple(deck))
 
 
 def double_cover_diagram(d: KirbyDiagram) -> CoverData:
@@ -218,11 +225,12 @@ def double_cover_diagram(d: KirbyDiagram) -> CoverData:
     comps = cov.total.all_components()
     nbraid = len(cov.total.components)
     lift = {cid: (row[base], sheet) for cid, base, sheet in cov.component_map}
-    handles = tuple(TwoHandle(c.id, c.framing, (c.winding,)) for c in comps)
+    _require_unique([*d.dotted, *lift])  # a lift id may be the dotted circle's
+    handles = tuple(_built(TwoHandle, c.id, c.framing, (c.winding,)) for c in comps)
 
     n = len(comps)
     matrix = [[0] * (1 + n) for _ in range(1 + n)]
-    sums = cov.total._letter_table()
+    sums = cov.total._letter_table
     for x, a in enumerate(comps):
         matrix[0][1 + x] = matrix[1 + x][0] = a.winding
         matrix[1 + x][1 + x] = a.framing
@@ -236,8 +244,8 @@ def double_cover_diagram(d: KirbyDiagram) -> CoverData:
                 value = d.linking[base_a][base_b] if sheet_a == sheet_b else 0
             matrix[1 + x][1 + y] = matrix[1 + y][1 + x] = value
 
-    total = KirbyDiagram(d.dotted, handles, tuple(map(tuple, matrix)),
-                         attaching=cov.total)
+    total = _built(KirbyDiagram, d.dotted, handles, tuple(map(tuple, matrix)), 0, 0,
+                   cov.total)
     return CoverData(d, 2, total, cov.component_map, cov.deck)
 
 

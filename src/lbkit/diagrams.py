@@ -123,15 +123,17 @@ class Runs:
     def __iter__(self):
         return chain.from_iterable(chain.from_iterable(starmap(repeat, self._runs)))
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        k = range(self._len)[index]  # any int: negative, or past sys.maxsize
-        for block, count in self._runs:
-            size = len(block) * count
-            if k < size:
-                return block[k % len(block)]
-            k -= size
+    def __getitem__(self, index):  # O(runs + items picked), past sys.maxsize too
+        picked = range(self._len)[index]
+        one = type(picked) is not range
+        up = (picked,) if one else picked if picked.step > 0 else picked[::-1]
+        out, runs, base, size = [], iter(self._runs), 0, 0
+        for k in up:
+            while k >= base + size:
+                base, (block, count) = base + size, next(runs)
+                size = len(block) * count
+            out.append(block[(k - base) % len(block)])
+        return out[0] if one else tuple(out if up is picked else reversed(out))
 
     def __eq__(self, other):
         if not isinstance(other, (Runs, tuple)):
@@ -315,6 +317,7 @@ class AnnularLink:
                 return comp
         raise DiagramError(f"no component {cid!r}")
 
+    @cached_property  # once per link, as BraidWord._cycles is per word
     def _letter_table(self) -> dict:
         """``_letter_sums`` of the word, keyed by component id."""
         return _letter_sums(self.word, {s: comp.id for comp in self.components
@@ -323,7 +326,7 @@ class AnnularLink:
     def word_self_writhe(self, cid: str) -> int:
         """Signed self-crossings of a component contributed by the word."""
         self.component(cid)  # an unknown id raises
-        return self._letter_table().get((cid, cid), 0)
+        return self._letter_table.get((cid, cid), 0)
 
     def writhe(self, cid: str) -> int:
         """Diagram self-writhe: word contribution plus inserted kinks."""
@@ -335,10 +338,10 @@ class AnnularLink:
             raise DiagramError("mixed linking needs two distinct components")
         self.component(cid)
         self.component(other)
-        return _half_sum(self._letter_table(), cid, other)
+        return _half_sum(self._letter_table, cid, other)
 
     def is_normalized(self) -> bool:
-        sums = self._letter_table()
+        sums = self._letter_table
         return all(sums.get((c.id, c.id), 0) + c.kinks == c.framing
                    for c in self.all_components())
 
@@ -389,7 +392,7 @@ def normalize_to_writhe(link: AnnularLink) -> AnnularLink:
     require this because a diagram-level cover can only transport
     framings that are visible as writhe.
     """
-    sums = link._letter_table()  # split components have no entry: kinks = framing
+    sums = link._letter_table  # split components have no entry: kinks = framing
     comps = tuple(
         AnnularComponent(c.id, c.strands, c.color, c.framing, c.orientation,
                          c.framing - sums.get((c.id, c.id), 0))

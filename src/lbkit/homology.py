@@ -22,7 +22,9 @@ pivot), and a negative pivot's row is negated.  The transforms are an
 identity border: ``smith_normal_form`` eliminates [[m, I], [I, 0]],
 whose row and column moves carry u and v along, so identical input
 yields identical u and v; they are certified (u * m * v = d, u and v
-unimodular) but appear in no output.
+unimodular) but appear in no output.  d, u, v, the cokernel group and
+the matrices ``h1`` and ``boundary_h1`` read off a checked diagram are
+built by ``_built``, without re-checking what they hold by construction.
 """
 
 from __future__ import annotations
@@ -52,6 +54,17 @@ def _require_exact(kind, values, what: str, error=ValueError, subject=None) -> N
         if type(x) is not kind:
             what = what.format(subject)
             raise error(f"{what} must be {kind.__name__}, not {type(x).__name__}")
+
+
+def _built(cls, *values):
+    """A ``cls`` record of ``values`` in field order, without its constructor's
+    checks: only for fields copied or computed exactly from checked records."""
+    names = cls.__dataclass_fields__
+    if len(values) != len(names):
+        raise TypeError(f"{cls.__name__} has {len(names)} fields, got {len(values)} values")
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(names, values))
+    return obj
 
 
 @dataclass(frozen=True)
@@ -210,9 +223,9 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     a += [[int(i == k) for k in range(c)] + [0] * r for i in range(c)]
     _eliminate(a, r, c)
     return (
-        IntMatrix.from_rows([row[:c] for row in a[:r]], c),
-        IntMatrix.from_rows([row[c:] for row in a[:r]], r),
-        IntMatrix.from_rows([row[:c] for row in a[r:]], c),
+        _built(IntMatrix, r, c, tuple(tuple(row[:c]) for row in a[:r])),
+        _built(IntMatrix, r, r, tuple(tuple(row[c:]) for row in a[:r])),
+        _built(IntMatrix, c, c, tuple(tuple(row[:c]) for row in a[r:])),
     )
 
 
@@ -306,10 +319,7 @@ class AbelianGroup:
 def cokernel(m: IntMatrix) -> AbelianGroup:
     """Cokernel of the map Z^cols -> Z^rows given by the matrix."""
     diag = invariant_factors(m)
-    return AbelianGroup(
-        free_rank=m.rows - len(diag),
-        invariant_factors=tuple(d for d in diag if d > 1),
-    )
+    return _built(AbelianGroup, m.rows - len(diag), tuple(d for d in diag if d > 1))
 
 
 def torsion_order2(group: AbelianGroup) -> frozenset:
@@ -324,8 +334,8 @@ def h1(diagram) -> AbelianGroup:
     vectors; 3- and 4-handles do not enter.
     """
     ndot = len(diagram.dotted)
-    rows = [[h.winding[i] for h in diagram.two_handles] for i in range(ndot)]
-    return cokernel(IntMatrix.from_rows(rows, len(diagram.two_handles)))
+    rows = tuple(tuple(h.winding[i] for h in diagram.two_handles) for i in range(ndot))
+    return cokernel(_built(IntMatrix, ndot, len(diagram.two_handles), rows))
 
 
 def boundary_h1(diagram) -> AbelianGroup:
@@ -338,4 +348,5 @@ def boundary_h1(diagram) -> AbelianGroup:
     """
     if diagram.three_handles or diagram.four_handles:
         raise ValueError("boundary homology needs a diagram without 3- or 4-handles")
-    return cokernel(IntMatrix.from_rows(diagram.linking))
+    n = len(diagram.linking)
+    return cokernel(_built(IntMatrix, n, n, diagram.linking))

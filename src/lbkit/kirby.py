@@ -14,7 +14,9 @@ has a common dual), and it is what a slide over the dual uses to change
 q by 2.  The twisted spheres studied downstream live in these manifolds:
 ``standard_sphere`` records their class over the 2-handles and their
 twist count, from which the slice tangle and the self-intersection
-square are computed.
+square are computed.  Diagrams check themselves when built from outside
+values; ``build_diagram``, ``handle_slide`` and ``double`` derive theirs
+from checked ones and build them with ``homology._built``, unchecked.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .diagrams import (
     _letter_sums,
     half_twist_tangle,
 )
-from .homology import _require_exact
+from .homology import _built, _require_exact
 
 __all__ = [
     "TwoHandle", "KirbyDiagram", "SphereEmbedding",
@@ -40,6 +42,11 @@ __all__ = [
     "family_parameters", "ensure_attaching",
     "standard_sphere", "sphere_square", "sphere_tangle",
 ]
+
+
+def _require_unique(ids: list) -> None:
+    if len(set(ids)) != len(ids):
+        raise DiagramError("handle ids must be unique")
 
 
 @dataclass(frozen=True)
@@ -53,8 +60,7 @@ class TwoHandle:
 
     def __post_init__(self):
         _require_exact(str, (self.id,), "handle ids", DiagramError)
-        if type(self.winding) is not tuple:
-            object.__setattr__(self, "winding", tuple(self.winding))
+        object.__setattr__(self, "winding", tuple(self.winding))
         _require_exact(int, (self.framing,), "framing of {!r}", DiagramError, self.id)
         _require_exact(int, self.winding, "winding of {!r}", DiagramError, self.id)
 
@@ -80,19 +86,15 @@ class KirbyDiagram:
     attaching: AnnularLink | None = None
 
     def __post_init__(self):
-        if type(self.dotted) is not tuple:
-            object.__setattr__(self, "dotted", tuple(self.dotted))
-        if type(self.two_handles) is not tuple:
-            object.__setattr__(self, "two_handles", tuple(self.two_handles))
+        object.__setattr__(self, "dotted", tuple(self.dotted))
+        object.__setattr__(self, "two_handles", tuple(self.two_handles))
         _require_exact(str, self.dotted, "handle ids", DiagramError)
         m = tuple(map(tuple, self.linking))
         object.__setattr__(self, "linking", m)
         _require_exact(int, chain.from_iterable(m), "linking entries", DiagramError)
         _require_exact(int, (self.three_handles, self.four_handles),
                        "handle counts", DiagramError)
-        ids = list(self.dotted) + [h.id for h in self.two_handles]
-        if len(set(ids)) != len(ids):
-            raise DiagramError("handle ids must be unique")
+        _require_unique([*self.dotted, *(h.id for h in self.two_handles)])
         d, n = len(self.dotted), len(self.two_handles)
         for h in self.two_handles:
             if len(h.winding) != d:
@@ -179,11 +181,12 @@ def _family_attaching(first: TwoHandle, second: TwoHandle,
     kinks are its framing.  The link equals ``normalize_to_writhe`` of the
     unkinked one, built in one construction.
     """
-    return AnnularLink(
-        _FAMILY_WORD,
-        tuple(AnnularComponent(h.id, cycle, None, h.framing, 1, h.framing - writhe)
+    return _built(
+        AnnularLink, _FAMILY_WORD,
+        tuple(_built(AnnularComponent, h.id, cycle, None, h.framing, 1, h.framing - writhe)
               for h, cycle, writhe in zip((first, second), _FAMILY_CYCLES, _FAMILY_WRITHES)),
-        (AnnularComponent(dual.id, frozenset(), PURPLE, dual.framing, 1, dual.framing),))
+        (_built(AnnularComponent, dual.id, frozenset(), PURPLE, dual.framing, 1,
+                dual.framing),))
 
 
 def build_diagram(p: int, q: int) -> KirbyDiagram:
@@ -202,21 +205,16 @@ def build_diagram(p: int, q: int) -> KirbyDiagram:
     """
     _require_exact(int, (p, q), "family parameters", DiagramError)
     handles = (
-        TwoHandle("upper", p, (2,)),
-        TwoHandle("lower", q, (2,)),
-        TwoHandle("dual", 0, (0,)),
+        _built(TwoHandle, "upper", p, (2,)),
+        _built(TwoHandle, "lower", q, (2,)),
+        _built(TwoHandle, "dual", 0, (0,)),
     )
-    return KirbyDiagram(
-        dotted=("dot",),
-        two_handles=handles,
-        linking=(
-            (0, 2, 2, 0),
-            (2, p, 0, 0),
-            (2, 0, q, 1),
-            (0, 0, 1, 0),
-        ),
-        attaching=_family_attaching(*handles),
-    )
+    return _built(KirbyDiagram, ("dot",), handles, (
+        (0, 2, 2, 0),
+        (2, p, 0, 0),
+        (2, 0, q, 1),
+        (0, 0, 1, 0),
+    ), 0, 0, _family_attaching(*handles))
 
 
 def handle_slide(d: KirbyDiagram, a: str, b: str, eps: int) -> KirbyDiagram:
@@ -229,6 +227,7 @@ def handle_slide(d: KirbyDiagram, a: str, b: str, eps: int) -> KirbyDiagram:
     matrices is unchanged.  The braid-closure attaching form does not
     survive a band sum, so the result carries no attaching link.
     """
+    _require_exact(int, (eps,), "slide sign", DiagramError)
     if eps not in (1, -1):
         raise DiagramError("slide sign must be +-1")
     if a == b:
@@ -242,19 +241,13 @@ def handle_slide(d: KirbyDiagram, a: str, b: str, eps: int) -> KirbyDiagram:
         m[ia][k] += eps * m[ib][k]
     for k in range(size):
         m[k][ia] += eps * m[k][ib]
-    ja = ia - len(d.dotted)
-    jb = ib - len(d.dotted)
-    hb = d.two_handles[jb]
+    ja, jb = ia - len(d.dotted), ib - len(d.dotted)
+    old, hb = d.two_handles[ja], d.two_handles[jb]
     handles = list(d.two_handles)
-    old = handles[ja]
-    handles[ja] = TwoHandle(
-        old.id,
-        m[ia][ia],
-        tuple(w + eps * wb for w, wb in zip(old.winding, hb.winding)),
-    )
-    return KirbyDiagram(
-        d.dotted, tuple(handles), tuple(tuple(row) for row in m),
-        d.three_handles, d.four_handles, attaching=None)
+    handles[ja] = _built(TwoHandle, old.id, m[ia][ia],
+                         tuple(w + eps * wb for w, wb in zip(old.winding, hb.winding)))
+    return _built(KirbyDiagram, d.dotted, tuple(handles), tuple(map(tuple, m)),
+                  d.three_handles, d.four_handles, None)
 
 
 def double(d: KirbyDiagram) -> KirbyDiagram:
@@ -265,22 +258,15 @@ def double(d: KirbyDiagram) -> KirbyDiagram:
     one 3-handle per dotted circle, and one 4-handle.
     """
     dcount, n = len(d.dotted), len(d.two_handles)
-    meridians = tuple(
-        TwoHandle(f"{h.id}.m", 0, (0,) * dcount) for h in d.two_handles)
-    size = dcount + 2 * n
-    m = [[0] * size for _ in range(size)]
-    for i in range(dcount + n):
-        for j in range(dcount + n):
-            m[i][j] = d.linking[i][j]
-    for k in range(n):
-        parent = dcount + k
-        mer = dcount + n + k
-        m[parent][mer] = m[mer][parent] = 1
-    return KirbyDiagram(
-        d.dotted, d.two_handles + meridians,
-        tuple(tuple(row) for row in m),
-        d.three_handles + dcount, d.four_handles + 1,
-        attaching=None)
+    meridians = tuple(  # "h.m" may already name a handle, so the ids are checked
+        _built(TwoHandle, f"{h.id}.m", 0, (0,) * dcount) for h in d.two_handles)
+    _require_unique([*d.dotted, *(h.id for h in d.two_handles + meridians)])
+    m = [list(row) + [0] * n for row in d.linking]
+    m += [[0] * (dcount + 2 * n) for _ in range(n)]
+    for k in range(n):  # each meridian links its parent once
+        m[dcount + k][dcount + n + k] = m[dcount + n + k][dcount + k] = 1
+    return _built(KirbyDiagram, d.dotted, d.two_handles + meridians,
+                  tuple(map(tuple, m)), d.three_handles + dcount, d.four_handles + 1, None)
 
 
 def _family_handles(d: KirbyDiagram) -> tuple[TwoHandle, TwoHandle, TwoHandle]:

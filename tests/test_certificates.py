@@ -1,0 +1,181 @@
+"""Records the library derives without its constructors' re-check.
+
+``homology._built`` fills a record's fields in order and runs no
+``__post_init__``.  The library calls it only where every field is a copy,
+or an exact-int function, of fields already checked.  These certificates
+rebuild each such record through its public constructor, records inside it
+first, and require an equal object with an equal hash and the same field
+types: a derived record holds nothing its constructor would refuse or
+normalize.
+"""
+
+from itertools import repeat
+
+import pytest
+
+from lbkit import homology
+from lbkit.covers import cyclic_cover_link, double_cover_diagram
+from lbkit.diagrams import (
+    AnnularComponent, AnnularLink, BraidWord, DiagramError, braid_closure,
+    normalize_to_writhe,
+)
+from lbkit.homology import (
+    AbelianGroup, IntMatrix, _built, boundary_h1, cokernel, h1,
+    smith_normal_form,
+)
+from lbkit.kirby import (
+    KirbyDiagram, TwoHandle, build_diagram, double, ensure_attaching,
+    handle_slide,
+)
+from lbkit.serialize import dumps, kirby_to_obj, load_diagram
+
+DEGREES = (1, 2, 3, 8, 32, 128)
+
+
+def certify(x, done=None):
+    """``x`` rebuilt through the public constructors, after checking that
+    the rebuilt object equals ``x`` and hashes alike.  ``done`` maps the id of each record
+    already rebuilt to the record and its rebuild."""
+    again = rebuild(x, {} if done is None else done)
+    assert type(again) is type(x) and again == x and hash(again) == hash(x), type(x)
+    return again
+
+
+def rebuild(x, done):
+    """``x`` rebuilt through the public constructors, records inside it
+    first, with the type of every field checked against ``x``'s."""
+    if id(x) in done:
+        return done[id(x)][1]
+    if type(x) is tuple:
+        return tuple(rebuild(v, done) if nested(v) else v for v in x)
+    names = type(x).__dataclass_fields__
+    old = [getattr(x, n) for n in names]
+    again = type(x)(*(rebuild(v, done) if nested(v) else v for v in old))
+    assert list(map(type, map(getattr, repeat(again), names))) == list(map(type, old))
+    done[id(x)] = x, again
+    return again
+
+
+def nested(v):
+    """Whether ``v`` is a record, or a tuple holding records: a row of
+    scalars is a leaf, whose type the record holding it checks."""
+    if type(v) is tuple:
+        return bool(v) and nested(v[0])
+    return hasattr(type(v), "__dataclass_fields__")
+
+
+@pytest.fixture
+def certified_cokernels(monkeypatch):
+    """Certify the matrix ``h1`` and ``boundary_h1`` hand to ``cokernel``,
+    and the group it returns."""
+    def spy(m, cokernel=homology.cokernel):
+        return certify(cokernel(certify(m)))
+    monkeypatch.setattr(homology, "cokernel", spy)
+
+
+def groups(d):
+    h1(d)
+    if not (d.three_handles or d.four_handles):
+        boundary_h1(d)
+
+
+def test_family_grid(certified_cokernels):
+    for p in range(-40, 41):
+        for q in range(-40, 41):
+            d, done = build_diagram(p, q), {}
+            certify(d, done)
+            groups(d)
+            for eps in (1, -1):
+                groups(certify(handle_slide(d, "lower", "dual", eps), done))
+            groups(certify(double(d), done))
+            cover = double_cover_diagram(d)
+            certify(cover, done)
+            groups(cover.total)
+            # the letter table the cover filled is the one a fresh link walks
+            link = cover.total.attaching
+            assert done[id(link)][1]._letter_table == link._letter_table
+
+
+def test_random_slide_sequences(rng, certified_cokernels):
+    for _ in range(300):
+        d = build_diagram(rng.randint(-40, 40), rng.randint(-40, 40))
+        ids = [h.id for h in d.two_handles]
+        for _ in range(rng.randint(1, 6)):
+            a, b = rng.sample(ids, 2)
+            d = certify(handle_slide(d, a, b, rng.choice((1, -1))))
+            groups(d)
+        groups(certify(double(d)))
+
+
+def test_renamed_family_covers():
+    # ensure_attaching rebuilds the attaching link from a loaded diagram's ids
+    obj = kirby_to_obj(build_diagram(5, -3))
+    rename = {"dot": "axis", "upper": "u.b", "lower": "l", "dual": "l.m"}
+    obj["dotted"] = [rename[x] for x in obj["dotted"]]
+    for h in obj["two_handles"]:
+        h["id"] = rename[h["id"]]
+    d = load_diagram(dumps(obj))
+    certify(ensure_attaching(d))
+    certify(double_cover_diagram(d))
+    with pytest.raises(DiagramError, match="handle ids must be unique"):
+        double(d)  # the meridian of "l" would be "l.m", the dual's id
+
+
+def random_link(rng):
+    """A normalized braid closure on 1-5 strands, with a split unknot
+    half the time."""
+    strands = rng.randint(1, 5)
+    letters = tuple((rng.randint(1, strands - 1), rng.choice((1, -1)))
+                    for _ in range(rng.randint(0, 6) if strands > 1 else 0))
+    word = BraidWord(strands, letters)
+    framings = [rng.randint(-5, 5) for _ in word.cycles()]
+    closure = braid_closure(word, framings=framings)
+    split = ()
+    if rng.random() < 0.5:
+        split = (AnnularComponent("u", frozenset(), None, rng.randint(-5, 5)),)
+    return normalize_to_writhe(AnnularLink(word, closure.components, split))
+
+
+def test_cyclic_covers(rng):
+    links = [build_diagram(p, q).attaching for p in (-40, -3, 0, 7) for q in (-9, 0, 2)]
+    links += [random_link(rng) for _ in range(60)]
+    for link in links:
+        for m in DEGREES:
+            cover = cyclic_cover_link(link, m)
+            again = certify(cover)
+            assert again.total._letter_table == cover.total._letter_table
+
+
+def test_smith_forms_and_cokernels(rng):
+    for _ in range(2000):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        bound = rng.choice((1, 3, 30, 10 ** 12))
+        m = IntMatrix(rows, cols, tuple(
+            tuple(rng.randint(-bound, bound) for _ in range(cols)) for _ in range(rows)))
+        for part in smith_normal_form(m):
+            certify(part)
+        certify(cokernel(m))
+
+
+def test_builder_refuses_a_wrong_value_count():
+    assert _built(TwoHandle, "x", 1, (2,)) == TwoHandle("x", 1, (2,))
+    assert _built(AbelianGroup, 0, (2,)) == AbelianGroup(0, (2,))
+    for values in (("x", 1), ("x", 1, (2,), 0), ()):
+        with pytest.raises(TypeError, match="TwoHandle has 3 fields"):
+            _built(TwoHandle, *values)
+    with pytest.raises(TypeError, match="KirbyDiagram has 6 fields, got 5"):
+        _built(KirbyDiagram, ("dot",), (), ((0,),), 0, 0)
+
+
+def test_derived_values_past_the_checks_are_refused():
+    # the values the derived records are computed from are checked exactly
+    d = build_diagram(1, 2)
+    for eps in (1.0, True):
+        with pytest.raises(DiagramError, match="slide sign must be int"):
+            handle_slide(d, "lower", "dual", eps)
+    for m in (2.0, True):
+        with pytest.raises(DiagramError, match="cover degree must be int"):
+            cyclic_cover_link(d.attaching, m)
+    clash = load_diagram(dumps({**kirby_to_obj(d), "dotted": ["upper.r"]}))
+    with pytest.raises(DiagramError, match="handle ids must be unique"):
+        double_cover_diagram(clash)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,6 +83,10 @@ class TestCyclicCoverLink:
         monkeypatch.setattr(BraidWord, "letter_strands", spy)
         cyclic_cover_link(link, 4)
         assert walked.count(word_m) == 1
+        # the double cover reads its linking off the table the cover filled
+        walked.clear()
+        double_cover_diagram(build_diagram(3, 2))
+        assert walked.count(link.word.power(2)) == 1
 
     def test_follows_the_covering_permutation_once(self, monkeypatch):
         link = build_diagram(3, 2).attaching
@@ -242,7 +247,7 @@ def reference_double_cover_diagram(d):
         comp = cov.total.component(cid)
         matrix[0][1 + k] = matrix[1 + k][0] = comp.winding
         matrix[1 + k][1 + k] = comp.framing
-    sums = cov.total._letter_table()
+    sums = replace(cov.total)._letter_table  # a fresh walk, not the table the cover filled
     for x in range(n):
         for y in range(x + 1, n):
             a, b = order[x], order[y]

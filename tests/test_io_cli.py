@@ -851,6 +851,40 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+# The functions that may build a record through homology._built, skipping its
+# constructor's checks: each derives its records from records already checked.
+# serialize, cli and render are absent, so outside input always meets the
+# checking constructors.
+UNCHECKED_BUILDS = {
+    "homology.py": {"smith_normal_form", "cokernel", "h1", "boundary_h1"},
+    "kirby.py": {"build_diagram", "_family_attaching", "handle_slide", "double"},
+    "covers.py": {"cyclic_cover_link", "double_cover_diagram"},
+}
+
+
+def test_unchecked_builds_stay_in_the_listed_functions():
+    package = os.path.dirname(lbkit.cli.__file__)
+    found, seen = [], {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as f:
+                tree = ast.parse(f.read(), name)
+            allowed = UNCHECKED_BUILDS.get(name, set())
+            for top in tree.body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.alias) and node.name == "_built":
+                        if not allowed:
+                            found.append(f"{name}:{node.lineno} imports it")
+                    elif (isinstance(node, (ast.Name, ast.Attribute))
+                          and getattr(node, "id", getattr(node, "attr", None)) == "_built"):
+                        if isinstance(top, ast.FunctionDef) and top.name in allowed:
+                            seen.setdefault(name, set()).add(top.name)
+                        else:
+                            found.append(f"{name}:{node.lineno}")
+    assert found == []
+    assert seen == UNCHECKED_BUILDS  # the list names no site that is gone
+
+
 def test_every_library_definition_is_referenced():
     # a def or class nothing names is dead; strings do not count, since a
     # JSON key such as "zero" would hide an unused method of that name

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +74,30 @@ class TestModel:
         else:
             with pytest.raises(IndexError):
                 r[k]
+
+    @settings(max_examples=40)
+    @given(st.lists(st.tuples(blocks.map(lambda b: b[:2]), st.integers(0, 2)),
+                    max_size=3))
+    def test_every_slice_matches_the_tuple(self, a):
+        r, t = Runs(a), expand(a)
+        bounds = (None, *range(-len(t) - 1, len(t) + 2))
+        steps = [s for s in bounds if s != 0]
+        for start, stop, step in product(bounds, bounds, steps):
+            s = slice(start, stop, step)
+            assert type(r[s]) is tuple and r[s] == t[s], s
+        with pytest.raises(ValueError):
+            r[::0]
+
+    def test_slices_past_sys_maxsize_read_the_runs(self):
+        assert half_twist_tangle(2 ** 64).crossings[:1] == \
+            tuple(half_twist_tangle(2).crossings)[:1]
+        n = 2 ** 64 + 1
+        crossings = half_twist_tangle(n).crossings
+        for s in (slice(1), slice(-3, None), slice(2 ** 63, 2 ** 63 + 4),
+                  slice(None, None, 2 ** 62), slice(None, None, -2 ** 62),
+                  slice(-1, -8, -3), slice(n + 5, None, -2 ** 61),
+                  slice(2 ** 63, 2 ** 63), slice(3, 1)):
+            assert crossings[s] == tuple(crossings[k] for k in range(n)[s]), s
 
     def test_indices_past_sys_maxsize_read_the_runs(self):
         n = 2 ** 64 + 1  # a full run of (ab, ba) pairs, then one ab
