@@ -39,7 +39,6 @@ from .diagrams import (
     DiagramError,
     _TWIST_BOTTOM,
     _half_sum,
-    _letter_sums,
     half_twist_tangle,
     swap_colors,
 )
@@ -147,9 +146,7 @@ def cyclic_cover_link(link: AnnularLink, m: int) -> LinkCover:
                            "covering (use normalize_to_writhe)")
     word_m = _built(BraidWord, link.word.strands, link.word.letters * m)
     perm = link.word.permutation()
-    cycles = word_m.cycles()
-    owner = {s: k for k, cyc in enumerate(cycles) for s in cyc}
-    sums = _letter_sums(word_m, owner)
+    cycles, owner, sums = word_m.cycles(), word_m._closure.owner, word_m._closure.sums
 
     lifts = [None] * len(cycles)
     split = []
@@ -173,7 +170,7 @@ def cyclic_cover_link(link: AnnularLink, m: int) -> LinkCover:
             else:
                 k = owner[rep]
                 lifts[k] = _built(
-                    AnnularComponent, name, cycles[k], color, sums.get((k, k), 0) + kinks,
+                    AnnularComponent, name, cycles[k], color, word_m._self_writhe(k) + kinks,
                     comp.orientation, kinks)
                 ks.append(k)
                 rep = perm[rep - 1]
@@ -187,8 +184,6 @@ def cyclic_cover_link(link: AnnularLink, m: int) -> LinkCover:
                     f"framing identity failed for lift {lifts[k].id!r}")
 
     total = _built(AnnularLink, word_m, tuple(lifts), tuple(split))
-    total.__dict__["_letter_table"] = {  # so the covering word is walked once
-        tuple(sorted((lifts[k].id, lifts[l].id))): v for (k, l), v in sums.items()}
     return _built(LinkCover, link, m, total, tuple(cover_map), tuple(deck))
 
 
@@ -230,14 +225,14 @@ def double_cover_diagram(d: KirbyDiagram) -> CoverData:
 
     n = len(comps)
     matrix = [[0] * (1 + n) for _ in range(1 + n)]
-    sums = cov.total._letter_table
+    sums = cov.total.word._closure.sums  # braid lifts sit at their cycle index
     for x, a in enumerate(comps):
         matrix[0][1 + x] = matrix[1 + x][0] = a.winding
         matrix[1 + x][1 + x] = a.framing
         base_a, sheet_a = lift[a.id]
         for y in range(x + 1, n):
             if y < nbraid:
-                value = _half_sum(sums, a.id, comps[y].id)
+                value = _half_sum(sums, x, y)
             else:
                 # the two lifts of one base component lie on different sheets
                 base_b, sheet_b = lift[comps[y].id]

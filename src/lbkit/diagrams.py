@@ -14,6 +14,10 @@ Three diagram types:
   endpoint slots on the top and bottom walls.
 * ``BicoloredLink``: a closed diagram whose components carry colors.
 
+A ``BraidWord`` owns its closure data, from one pass over its letters:
+annular links over the word, the closed diagram of its closure and its
+covers all read that one table by cycle index.
+
 Conventions, fixed once and used by every module:
 
 * a positive crossing is right handed; taking the mirror image flips
@@ -35,6 +39,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import chain, product, repeat, starmap
 from operator import attrgetter, eq, itemgetter
+from typing import NamedTuple
 
 from .homology import _require_exact
 
@@ -138,8 +143,9 @@ class Runs:
     def __eq__(self, other):
         if not isinstance(other, (Runs, tuple)):
             return NotImplemented
+        size = other._len if type(other) is Runs else len(other)  # len() caps at sys.maxsize
         return self._runs == getattr(other, "_runs", None) or (
-            self._len == len(other) and all(map(eq, self, other)))
+            self._len == size and all(map(eq, self, other)))
 
     def __hash__(self):
         return hash(tuple(self))
@@ -162,7 +168,11 @@ class Runs:
 
 @dataclass(frozen=True)
 class BraidWord:
-    """A braid word: generator positions are 1-based, signs are +-1."""
+    """A braid word: generator positions are 1-based, signs are +-1.
+
+    The closure data is cached from one pass over the letters, in space
+    bounded by the square of the strand count, not by the letter count.
+    """
 
     strands: int
     letters: tuple[tuple[int, int], ...] = ()
@@ -184,6 +194,7 @@ class BraidWord:
                 raise DiagramError(f"letter sign must be +-1, got {sign}")
 
     def power(self, m: int) -> "BraidWord":
+        _require_exact(int, (m,), "braid word powers", DiagramError)
         if m < 0:
             raise DiagramError("braid word powers must be non-negative")
         return BraidWord(self.strands, self.letters * m)
@@ -204,35 +215,56 @@ class BraidWord:
 
     def permutation(self) -> tuple[int, ...]:
         """Image of each strand under the closure, as a 1-based tuple."""
-        arrangement = list(range(1, self.strands + 1))
-        for pos, _ in self.letters:
-            arrangement[pos - 1], arrangement[pos] = arrangement[pos], arrangement[pos - 1]
-        image = [0] * self.strands
-        for position, strand in enumerate(arrangement, start=1):
-            image[strand - 1] = position
-        return tuple(image)
+        return self._walk[0]
 
     def cycles(self) -> tuple[frozenset, ...]:
         """Cycles of the closure permutation, sorted by smallest strand."""
-        return self._cycles
+        return self._closure.cycles
 
-    # once per word: every AnnularLink built over the word checks against them
+    def _self_writhe(self, k: int) -> int:
+        """Signed self-crossings of cycle ``k``; 0 past the last cycle."""
+        return self._closure.sums.get((k, k), 0)
+
+    # The one pass over the letters: the closure permutation, and the signed
+    # sum of the letters whose left and right strands are a and b, by (a, b).
     @cached_property
-    def _cycles(self) -> tuple[frozenset, ...]:
-        perm = self.permutation()
-        seen = set()
-        out = []
-        for start in range(1, self.strands + 1):
-            if start in seen:
-                continue
-            cyc = []
-            s = start
-            while s not in seen:
-                seen.add(s)
+    def _walk(self) -> tuple[tuple[int, ...], dict]:
+        arrangement = list(range(1, self.strands + 1))
+        pairs: dict = {}
+        for pos, sign in self.letters:
+            a, b = arrangement[pos - 1], arrangement[pos]
+            pairs[a, b] = pairs.get((a, b), 0) + sign
+            arrangement[pos - 1], arrangement[pos] = b, a
+        image = [0] * self.strands
+        for position, strand in enumerate(arrangement, start=1):
+            image[strand - 1] = position
+        return tuple(image), pairs
+
+    @cached_property
+    def _closure(self) -> _Closure:
+        perm, owner, cycles = self.permutation(), {}, []
+        for start in range(1, self.strands + 1):  # a new cycle's start is its minimum
+            cyc, s = [], start
+            while s not in owner:
+                owner[s] = len(cycles)
                 cyc.append(s)
                 s = perm[s - 1]
-            out.append(frozenset(cyc))
-        return tuple(sorted(out, key=min))
+            if cyc:
+                cycles.append(frozenset(cyc))
+        sums: dict = {}
+        for (a, b), total in self._walk[1].items():
+            k, l = owner[a], owner[b]
+            key = (k, l) if k <= l else (l, k)
+            sums[key] = sums.get(key, 0) + total
+        return _Closure(tuple(cycles), owner, sums)
+
+
+class _Closure(NamedTuple):
+    """A braid word's closure cycles and its letter sums by cycle pair."""
+
+    cycles: tuple[frozenset, ...]
+    owner: dict  # strand -> index of its cycle
+    sums: dict  # (k, l), k <= l -> signed sum of the letters crossing cycles k and l
 
 
 def components_and_windings(word: BraidWord) -> tuple[tuple[frozenset, int], ...]:
@@ -283,7 +315,10 @@ class AnnularLink:
 
     ``components`` must list one entry per permutation cycle of the
     word, ordered by smallest strand; the framing label of a component
-    is independent data and need not match the diagram writhe.
+    is independent data and need not match the diagram writhe.  So a
+    braid component sits at its cycle index, and writhes and linking
+    numbers read the word's letter sums at that position; split
+    components come after every cycle and have no entry.
     """
 
     word: BraidWord
@@ -311,22 +346,20 @@ class AnnularLink:
     def all_components(self) -> tuple[AnnularComponent, ...]:
         return self.components + self.split
 
-    def component(self, cid: str) -> AnnularComponent:
-        for comp in self.all_components():
+    def _position(self, cid: str) -> int:
+        """Index of ``cid`` in ``all_components()``: a braid component's cycle
+        index, which keys the word's letter sums, or past every cycle."""
+        for k, comp in enumerate(self.all_components()):
             if comp.id == cid:
-                return comp
+                return k
         raise DiagramError(f"no component {cid!r}")
 
-    @cached_property  # once per link, as BraidWord._cycles is per word
-    def _letter_table(self) -> dict:
-        """``_letter_sums`` of the word, keyed by component id."""
-        return _letter_sums(self.word, {s: comp.id for comp in self.components
-                                        for s in comp.strands})
+    def component(self, cid: str) -> AnnularComponent:
+        return self.all_components()[self._position(cid)]
 
     def word_self_writhe(self, cid: str) -> int:
         """Signed self-crossings of a component contributed by the word."""
-        self.component(cid)  # an unknown id raises
-        return self._letter_table.get((cid, cid), 0)
+        return self.word._self_writhe(self._position(cid))
 
     def writhe(self, cid: str) -> int:
         """Diagram self-writhe: word contribution plus inserted kinks."""
@@ -336,30 +369,11 @@ class AnnularLink:
         """Linking number of two distinct components of the closure."""
         if cid == other:
             raise DiagramError("mixed linking needs two distinct components")
-        self.component(cid)
-        self.component(other)
-        return _half_sum(self._letter_table, cid, other)
+        return _half_sum(self.word._closure.sums, self._position(cid), self._position(other))
 
     def is_normalized(self) -> bool:
-        sums = self._letter_table
-        return all(sums.get((c.id, c.id), 0) + c.kinks == c.framing
-                   for c in self.all_components())
-
-
-def _letter_sums(word: BraidWord, owner: dict) -> dict:
-    """Signed sum of the letters between each pair of closure cycles.
-
-    ``owner`` maps every strand to a key naming its cycle.  One pass over
-    ``word.letter_strands()`` attributes each letter to the pair of cycles
-    it crosses: keys are pairs (k, l) with k <= l, and (k, k) holds the
-    self-crossings of cycle k.  Pairs no letter crosses are absent.
-    """
-    sums: dict = {}
-    for a, b, sign in word.letter_strands():
-        k, l = owner[a], owner[b]
-        key = (k, l) if k <= l else (l, k)
-        sums[key] = sums.get(key, 0) + sign
-    return sums
+        return all(self.word._self_writhe(k) + c.kinks == c.framing
+                   for k, c in enumerate(self.all_components()))
 
 
 def _half_sum(sums: dict, k, l) -> int:
@@ -392,11 +406,10 @@ def normalize_to_writhe(link: AnnularLink) -> AnnularLink:
     require this because a diagram-level cover can only transport
     framings that are visible as writhe.
     """
-    sums = link._letter_table  # split components have no entry: kinks = framing
-    comps = tuple(
+    comps = tuple(  # a split component has self-writhe 0: kinks = framing
         AnnularComponent(c.id, c.strands, c.color, c.framing, c.orientation,
-                         c.framing - sums.get((c.id, c.id), 0))
-        for c in link.all_components())
+                         c.framing - link.word._self_writhe(k))
+        for k, c in enumerate(link.all_components()))
     k = len(link.components)
     return AnnularLink(link.word, comps[:k], comps[k:])
 
@@ -679,25 +692,20 @@ def braid_closure_link(word: BraidWord, colors=None) -> BicoloredLink:
     Components are named c0, c1, ... by smallest strand; ``colors``
     assigns one color per component in that order.
     """
-    cycles = word.cycles()
+    cycles, owner = word.cycles(), word._closure.owner
     if colors is None:
         colors = [None] * len(cycles)
     if len(colors) != len(cycles):
         raise DiagramError(f"expected {len(cycles)} colors")
-    owner = {}
-    comps = []
-    for i, cyc in enumerate(cycles):
-        cid = f"c{i}"
-        comps.append(LinkComponent(cid, colors[i]))
-        for s in cyc:
-            owner[s] = cid
+    names = [f"c{i}" for i in range(len(cycles))]
+    comps = tuple(map(LinkComponent, names, colors))
     crossings = []
     for a, b, sign in word.letter_strands():
         if sign > 0:
-            crossings.append(Crossing(owner[a], owner[b], 1))
+            crossings.append(Crossing(names[owner[a]], names[owner[b]], 1))
         else:
-            crossings.append(Crossing(owner[b], owner[a], -1))
-    return BicoloredLink(tuple(comps), tuple(crossings))
+            crossings.append(Crossing(names[owner[b]], names[owner[a]], -1))
+    return BicoloredLink(comps, tuple(crossings))
 
 
 def bicolored_linking(link: BicoloredLink) -> int:

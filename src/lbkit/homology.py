@@ -84,6 +84,8 @@ class IntMatrix:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix")
             _require_exact(int, row, "entries")
+        # stored as row tuples, so equal to and hashed like tuple rows
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
 
     @classmethod
     def from_rows(cls, rows, cols=None):

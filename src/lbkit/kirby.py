@@ -31,7 +31,6 @@ from .diagrams import (
     BraidWord,
     ColoredTangle,
     DiagramError,
-    _letter_sums,
     half_twist_tangle,
 )
 from .homology import _built, _require_exact
@@ -164,11 +163,10 @@ def euler_characteristic(d: KirbyDiagram) -> int:
 
 _FAMILY_WORD = BraidWord(4, ((1, -1), (3, 1)))
 _FAMILY_CYCLES = _FAMILY_WORD.cycles()
-# Each cycle's word self-writhe, read off the word once: a braid
-# component's kinks are its framing minus its cycle's self-writhe.
-_FAMILY_SUMS = _letter_sums(
-    _FAMILY_WORD, {s: k for k, cycle in enumerate(_FAMILY_CYCLES) for s in cycle})
-_FAMILY_WRITHES = tuple(_FAMILY_SUMS.get((k, k), 0) for k in range(len(_FAMILY_CYCLES)))
+# Each cycle's word self-writhe, read off the word's letter sums: a braid
+# component's kinks are its framing minus its cycle's self-writhe.  Every
+# family link holds this word, so the word's one table serves them all.
+_FAMILY_WRITHES = tuple(map(_FAMILY_WORD._self_writhe, range(len(_FAMILY_CYCLES))))
 
 
 def _family_attaching(first: TwoHandle, second: TwoHandle,
@@ -257,6 +255,9 @@ def double(d: KirbyDiagram) -> KirbyDiagram:
     existing 2-handle curve (linking its parent once and nothing else),
     one 3-handle per dotted circle, and one 4-handle.
     """
+    if d.three_handles or d.four_handles:
+        raise DiagramError("the double glues along the boundary, so it needs a "
+                           "diagram without 3- or 4-handles")
     dcount, n = len(d.dotted), len(d.two_handles)
     meridians = tuple(  # "h.m" may already name a handle, so the ids are checked
         _built(TwoHandle, f"{h.id}.m", 0, (0,) * dcount) for h in d.two_handles)

@@ -91,9 +91,9 @@ def test_family_grid(certified_cokernels):
             cover = double_cover_diagram(d)
             certify(cover, done)
             groups(cover.total)
-            # the letter table the cover filled is the one a fresh link walks
+            # the covering word's letter table is the one a fresh word walks
             link = cover.total.attaching
-            assert done[id(link)][1]._letter_table == link._letter_table
+            assert done[id(link)][1].word._closure == link.word._closure
 
 
 def test_random_slide_sequences(rng, certified_cokernels):
@@ -143,7 +143,7 @@ def test_cyclic_covers(rng):
         for m in DEGREES:
             cover = cyclic_cover_link(link, m)
             again = certify(cover)
-            assert again.total._letter_table == cover.total._letter_table
+            assert again.total.word._closure == cover.total.word._closure
 
 
 def test_smith_forms_and_cokernels(rng):

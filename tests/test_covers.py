@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,20 +72,27 @@ class TestCyclicCoverLink:
     def test_walks_the_covering_word_once(self, monkeypatch):
         link = build_diagram(3, 2).attaching
         word_m = link.word.power(4)
-        walked = []
-        letter_strands = BraidWord.letter_strands
+        walked, listed = [], []
+        walk = BraidWord.__dict__["_walk"]  # the word's one pass, cached
+        one_pass, letter_strands = walk.func, BraidWord.letter_strands
 
         def spy(word):
             walked.append(word)
+            return one_pass(word)
+
+        def list_spy(word):  # a second walk over the letters
+            listed.append(word)
             return letter_strands(word)
 
-        monkeypatch.setattr(BraidWord, "letter_strands", spy)
+        monkeypatch.setattr(walk, "func", spy)
+        monkeypatch.setattr(BraidWord, "letter_strands", list_spy)
         cyclic_cover_link(link, 4)
-        assert walked.count(word_m) == 1
-        # the double cover reads its linking off the table the cover filled
+        assert walked.count(word_m) == 1 and word_m not in listed
+        # the double cover reads its linking off the covering word's table
         walked.clear()
         double_cover_diagram(build_diagram(3, 2))
         assert walked.count(link.word.power(2)) == 1
+        assert link.word.power(2) not in listed
 
     def test_follows_the_covering_permutation_once(self, monkeypatch):
         link = build_diagram(3, 2).attaching
@@ -247,12 +253,12 @@ def reference_double_cover_diagram(d):
         comp = cov.total.component(cid)
         matrix[0][1 + k] = matrix[1 + k][0] = comp.winding
         matrix[1 + k][1 + k] = comp.framing
-    sums = replace(cov.total)._letter_table  # a fresh walk, not the table the cover filled
+    sums = BraidWord(cov.total.word.strands, cov.total.word.letters)._closure.sums  # fresh
     for x in range(n):
         for y in range(x + 1, n):
             a, b = order[x], order[y]
             if a in braid_set and b in braid_set:
-                value = _half_sum(sums, a, b)
+                value = _half_sum(sums, x, y)  # braid lifts sit at their cycle index
             elif cov.sheet_of(a) != cov.sheet_of(b):
                 value = 0
             elif cov.base_of(a) == cov.base_of(b):

@@ -135,6 +135,22 @@ class TestBraidWord:
         assert w.letters == ((1, 1), (2, -1))
         assert all(type(letter) is tuple for letter in w.letters)
 
+    @pytest.mark.parametrize("bad", [True, 2.0, "2", None])
+    def test_power_takes_exact_ints(self, bad):
+        with pytest.raises(DiagramError, match="braid word powers must be int"):
+            BraidWord(2, ((1, 1),)).power(bad)
+
+    def test_cached_closure_data_does_not_grow_with_the_letters(self):
+        def cached_sizes(w):
+            w.cycles()
+            return [len(part) for name, value in vars(w).items()
+                    if name.startswith("_") for part in value]
+        assert cached_sizes(FAMILY_WORD.power(2)) == cached_sizes(FAMILY_WORD.power(2000))
+        # 3,000 letters on 6 strands: the cache keeps one entry per strand,
+        # per ordered strand pair or per cycle pair, no more
+        w = BraidWord(6, tuple((p, 1) for p in range(1, 6))).power(600)
+        assert max(cached_sizes(w)) <= 6 * 5
+
     def test_permutation_of_family_word(self):
         assert FAMILY_WORD.permutation() == (2, 1, 4, 3)
 

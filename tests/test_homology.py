@@ -141,6 +141,12 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, bad]])
 
+    def test_list_rows_are_stored_as_tuples(self):
+        listed, plain = IntMatrix(1, 2, ([1, 2],)), IntMatrix(1, 2, ((1, 2),))
+        assert listed == plain and hash(listed) == hash(plain)
+        assert type(listed.entries[0]) is tuple
+        assert IntMatrix(2, 1, [(3,), [4]]) == IntMatrix(2, 1, ((3,), (4,)))
+
     def test_from_rows_keeps_ints(self):
         m = IntMatrix.from_rows([[1, -2], (3, 0)])
         assert m == IntMatrix(2, 2, ((1, -2), (3, 0)))

@@ -259,6 +259,17 @@ class TestCli:
         assert code == 0
         assert obj_to_kirby(json.loads(out)) == double(build_diagram(1, -1))
 
+    def test_double_of_a_closed_diagram_is_a_domain_error(self, capsys, monkeypatch):
+        # ids that do not collide, so only the 3- and 4-handles are wrong
+        obj = kirby_to_obj(double(build_diagram(1, 2)))
+        for h in obj["two_handles"]:
+            h["id"] = h["id"].replace(".m", "_meridian")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
+        code, out, err = run_cli(capsys, "double", "-")
+        assert code == 1
+        assert "3- or 4-handles" in json.loads(out)["error"]
+        assert err == ""
+
     def test_slide(self, capsys):
         code, out, _ = run_cli(capsys, "slide", "--p", "1", "--q", "5",
                                "--a", "lower", "--b", "dual", "--eps", "-1")
@@ -883,6 +894,29 @@ def test_unchecked_builds_stay_in_the_listed_functions():
                             found.append(f"{name}:{node.lineno}")
     assert found == []
     assert seen == UNCHECKED_BUILDS  # the list names no site that is gone
+
+
+def test_no_instance_dict_is_written_outside_built():
+    # a record's fields and caches are set by its own class, or by _built;
+    # so no library code names __dict__ (or calls vars()) anywhere else
+    package = os.path.dirname(lbkit.cli.__file__)
+    found, seen = [], []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as f:
+                tree = ast.parse(f.read(), name)
+            for top in tree.body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+                        if (name, getattr(top, "name", None)) == ("homology.py", "_built"):
+                            seen.append(node.lineno)
+                        else:
+                            found.append(f"{name}:{node.lineno}")
+                    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                          and node.func.id == "vars"):
+                        found.append(f"{name}:{node.lineno} calls vars()")
+    assert found == []
+    assert seen  # _built still fills the fields through it
 
 
 def test_every_library_definition_is_referenced():

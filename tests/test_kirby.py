@@ -195,6 +195,16 @@ class TestHandleSlide:
 
 
 class TestDouble:
+    def test_refuses_a_closed_diagram(self):
+        once = double(build_diagram(1, 2))
+        renamed = KirbyDiagram(  # ids the next meridians would not meet
+            once.dotted, tuple(TwoHandle(h.id.replace(".m", "_m"), h.framing, h.winding)
+                               for h in once.two_handles),
+            once.linking, once.three_handles, once.four_handles)
+        for d in (once, renamed, replace(build_diagram(0, 0), four_handles=1)):
+            with pytest.raises(DiagramError, match="without 3- or 4-handles"):
+                double(d)
+
     def test_shape(self):
         d = double(build_diagram(3, 2))
         assert len(d.two_handles) == 6

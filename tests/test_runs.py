@@ -111,6 +111,14 @@ class TestModel:
         long = Runs(((("a", "b", "c"), 10 ** 30), (("d",), 1)))
         assert long[-1] == "d" and long[-2] == "c" and long[3 * 10 ** 30 - 3] == "a"
 
+    def test_equality_past_sys_maxsize_reads_the_runs(self):
+        a, b = half_twist_tangle(2 ** 64), half_twist_tangle(2 ** 64 + 2)
+        assert a != b and a.crossings != b.crossings
+        assert a.crossings != tuple(half_twist_tangle(2).crossings)
+        n = 2 ** 64 + 1
+        assert reverse_mirror(half_twist_tangle(n)).crossings == \
+            half_twist_tangle(-n).crossings
+
     def test_equal_neighbouring_blocks_merge(self):
         pair = ("a", "b")
         joined = Runs(((pair, 2),)) + Runs(((pair, 3),)) + pair
