@@ -1,8 +1,8 @@
 """Cyclic covers of annular links and of family handle diagrams.
 
 The solid torus unwinds along its circle factor, so the degree-m cover
-of a braid closure is the closure of the m-th power of the same word on
-the same strands.  Everything else is bookkeeping on top of that fact:
+of a braid closure is the closure of ``word.power(m)``, the m-th power
+of the same word.  The rest are covering rules, read off that word:
 
 * a winding-w component has gcd(w, m) lifts, each winding w/gcd(w, m)
   and carrying m/gcd(w, m) copies of every normalization kink;
@@ -34,11 +34,9 @@ from .diagrams import (
     AnnularComponent,
     AnnularLink,
     BicoloredLink,
-    BraidWord,
     ColoredTangle,
     DiagramError,
     _TWIST_BOTTOM,
-    _half_sum,
     half_twist_tangle,
     swap_colors,
 )
@@ -53,10 +51,7 @@ __all__ = [
 ]
 
 
-def _sheet_label(j: int, m: int) -> str:
-    if m == 2:
-        return ("r", "b")[j]
-    return str(j)
+_DOUBLE_SHEETS = (("r", RED), ("b", BLUE))  # (label, color) of each sheet in degree 2
 
 
 def _lookup(table: dict, key: str, what: str):
@@ -144,9 +139,8 @@ def cyclic_cover_link(link: AnnularLink, m: int) -> LinkCover:
     if not link.is_normalized():
         raise DiagramError("framings must be normalized to writhe before "
                            "covering (use normalize_to_writhe)")
-    word_m = _built(BraidWord, link.word.strands, link.word.letters * m)
-    perm = link.word.permutation()
-    cycles, owner, sums = word_m.cycles(), word_m._closure.owner, word_m._closure.sums
+    word_m = link.word.power(m)
+    perm, cycles = link.word.permutation(), word_m.cycles()
 
     lifts = [None] * len(cycles)
     split = []
@@ -161,14 +155,13 @@ def cyclic_cover_link(link: AnnularLink, m: int) -> LinkCover:
         rep = min(comp.strands, default=None)
         names, ks = [], []
         for j in range(g):
-            label = _sheet_label(j, m)
+            label, color = _DOUBLE_SHEETS[j] if m == 2 else (str(j), comp.color)
             name = comp.id if m == 1 else f"{comp.id}.{label}"
-            color = (RED, BLUE)[j] if m == 2 else comp.color
             if rep is None:
                 split.append(_built(AnnularComponent,
                     name, frozenset(), color, kinks, comp.orientation, kinks))
             else:
-                k = owner[rep]
+                k = word_m._cycle_of(rep)
                 lifts[k] = _built(
                     AnnularComponent, name, cycles[k], color, word_m._self_writhe(k) + kinks,
                     comp.orientation, kinks)
@@ -178,7 +171,7 @@ def cyclic_cover_link(link: AnnularLink, m: int) -> LinkCover:
             names.append(name)
         deck.extend((names[j], names[(j + 1) % g]) for j in range(g))
         for k in ks:
-            siblings = sum(_half_sum(sums, k, other) for other in ks if other != k)
+            siblings = sum(word_m._linking(k, other) for other in ks if other != k)
             if (m // g) * comp.framing != lifts[k].framing + siblings:
                 raise DiagramError(
                     f"framing identity failed for lift {lifts[k].id!r}")
@@ -225,14 +218,14 @@ def double_cover_diagram(d: KirbyDiagram) -> CoverData:
 
     n = len(comps)
     matrix = [[0] * (1 + n) for _ in range(1 + n)]
-    sums = cov.total.word._closure.sums  # braid lifts sit at their cycle index
+    word = cov.total.word  # braid lifts sit at their cycle index
     for x, a in enumerate(comps):
         matrix[0][1 + x] = matrix[1 + x][0] = a.winding
         matrix[1 + x][1 + x] = a.framing
         base_a, sheet_a = lift[a.id]
         for y in range(x + 1, n):
             if y < nbraid:
-                value = _half_sum(sums, x, y)
+                value = word._linking(x, y)
             else:
                 # the two lifts of one base component lie on different sheets
                 base_b, sheet_b = lift[comps[y].id]
@@ -264,6 +257,7 @@ def lift_wiring(twists: int) -> int:
     red arc is ``"a"``).  Two spheres are homotopic exactly when their lifts
     wire the ball boundaries the same way, i.e. when this index agrees.
     """
+    _require_exact(int, (twists,), "twist count", DiagramError)
     return [slot.arc for slot in _TWIST_BOTTOM[twists % 2]].index("a")
 
 

@@ -14,9 +14,9 @@ Three diagram types:
   endpoint slots on the top and bottom walls.
 * ``BicoloredLink``: a closed diagram whose components carry colors.
 
-A ``BraidWord`` owns its closure data, from one pass over its letters:
-annular links over the word, the closed diagram of its closure and its
-covers all read that one table by cycle index.
+A ``BraidWord`` owns its closure data, from one pass over its letters,
+and its powers (a cover's word is ``power(m)``): annular links, closed
+diagrams and covers ask the word's methods for it, by cycle index.
 
 Conventions, fixed once and used by every module:
 
@@ -41,7 +41,7 @@ from itertools import chain, product, repeat, starmap
 from operator import attrgetter, eq, itemgetter
 from typing import NamedTuple
 
-from .homology import _require_exact
+from .homology import _built, _require_exact
 
 RED = "red"
 BLUE = "blue"
@@ -170,8 +170,9 @@ class Runs:
 class BraidWord:
     """A braid word: generator positions are 1-based, signs are +-1.
 
-    The closure data is cached from one pass over the letters, in space
-    bounded by the square of the strand count, not by the letter count.
+    The closure record is cached from one pass over the letters, in space
+    bounded by the square of the strand count, and read only through
+    ``permutation``, ``cycles``, ``_cycle_of``, ``_self_writhe`` and ``_linking``.
     """
 
     strands: int
@@ -197,7 +198,8 @@ class BraidWord:
         _require_exact(int, (m,), "braid word powers", DiagramError)
         if m < 0:
             raise DiagramError("braid word powers must be non-negative")
-        return BraidWord(self.strands, self.letters * m)
+        # copies of checked letters, m checked exact: nothing to re-check
+        return _built(BraidWord, self.strands, self.letters * m)
 
     def letter_strands(self) -> tuple[tuple[int, int, int], ...]:
         """For each letter, the two strands it crosses and its sign.
@@ -224,6 +226,17 @@ class BraidWord:
     def _self_writhe(self, k: int) -> int:
         """Signed self-crossings of cycle ``k``; 0 past the last cycle."""
         return self._closure.sums.get((k, k), 0)
+
+    def _linking(self, k: int, l: int) -> int:
+        """Linking number of distinct cycles k and l; 0 past the last cycle."""
+        total = self._closure.sums.get((k, l) if k <= l else (l, k), 0)
+        if total % 2:
+            raise DiagramError("crossings between closed components must pair up")
+        return total // 2
+
+    def _cycle_of(self, strand: int) -> int:
+        """Index of the cycle through ``strand``."""
+        return self._closure.owner[strand]
 
     # The one pass over the letters: the closure permutation, and the signed
     # sum of the letters whose left and right strands are a and b, by (a, b).
@@ -369,19 +382,11 @@ class AnnularLink:
         """Linking number of two distinct components of the closure."""
         if cid == other:
             raise DiagramError("mixed linking needs two distinct components")
-        return _half_sum(self.word._closure.sums, self._position(cid), self._position(other))
+        return self.word._linking(self._position(cid), self._position(other))
 
     def is_normalized(self) -> bool:
         return all(self.word._self_writhe(k) + c.kinks == c.framing
                    for k, c in enumerate(self.all_components()))
-
-
-def _half_sum(sums: dict, k, l) -> int:
-    """Linking number of the distinct cycles k and l of a letter table."""
-    total = sums.get((k, l) if k <= l else (l, k), 0)
-    if total % 2:
-        raise DiagramError("crossings between closed components must pair up")
-    return total // 2
 
 
 def braid_closure(word: BraidWord, *, ids=None, colors=None, framings=None) -> AnnularLink:
@@ -524,6 +529,7 @@ def half_twist_tangle(n: int, colors=(None, None)) -> ColoredTangle:
     crossings, so the crossing word is two runs: the pair |n| // 2 times,
     then its first crossing |n| % 2 times.
     """
+    _require_exact(int, (n,), "twist count", DiagramError)
     ca, cb = colors
     arcs = (Strand("a", ca), Strand("b", cb))
     pair = _POSITIVE_PAIR if n > 0 else _NEGATIVE_PAIR
@@ -692,19 +698,20 @@ def braid_closure_link(word: BraidWord, colors=None) -> BicoloredLink:
     Components are named c0, c1, ... by smallest strand; ``colors``
     assigns one color per component in that order.
     """
-    cycles, owner = word.cycles(), word._closure.owner
+    cycles = word.cycles()
     if colors is None:
         colors = [None] * len(cycles)
     if len(colors) != len(cycles):
         raise DiagramError(f"expected {len(cycles)} colors")
     names = [f"c{i}" for i in range(len(cycles))]
     comps = tuple(map(LinkComponent, names, colors))
+    name = {s: names[word._cycle_of(s)] for s in range(1, word.strands + 1)}
     crossings = []
     for a, b, sign in word.letter_strands():
         if sign > 0:
-            crossings.append(Crossing(names[owner[a]], names[owner[b]], 1))
+            crossings.append(Crossing(name[a], name[b], 1))
         else:
-            crossings.append(Crossing(names[owner[b]], names[owner[a]], -1))
+            crossings.append(Crossing(name[b], name[a], -1))
     return BicoloredLink(comps, tuple(crossings))
 
 

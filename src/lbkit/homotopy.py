@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .covers import lift_wiring
-from .diagrams import Runs
+from .diagrams import DiagramError, Runs
 from .homology import AbelianGroup, _require_exact
 from .obstruction import NotHomotopic, concordance_obstruction
 
@@ -130,7 +130,7 @@ def twist_homotopy(n: int) -> HomotopyTrace:
     depend on n; the parameter records which sphere the homotopy starts
     at.
     """
-    del n
+    _require_exact(int, (n,), "twist count", DiagramError)
     return _STEP
 
 
@@ -149,6 +149,7 @@ def connecting_homotopy(i: int, j: int) -> HomotopyTrace:
     is built by doubling: O(log k) ``concat`` calls, each O(runs), since
     joining equal steps merges them into one run of each.
     """
+    _require_exact(int, (i, j), "twist counts", DiagramError)
     if (i - j) % 2:
         raise NotHomotopic(f"twist counts {i} and {j} are not homotopic, "
                            "no connecting homotopy exists")
@@ -239,9 +240,11 @@ def lightbulb_check(t: HomotopyTrace, common_dual: bool,
     True when the dual hypotheses hold and the trace's crossed-cycle
     class vanishes; the trace must pass validation first.
     """
+    _require_exact(bool, (common_dual, dual_disjoint_support),
+                   "lightbulb hypotheses", InvalidTrace)
     if not cycle_validate(t):
         raise InvalidTrace("trace fails the move/cycle counting checks")
-    return bool(common_dual and dual_disjoint_support and crossed_class(t).is_zero)
+    return common_dual and dual_disjoint_support and crossed_class(t).is_zero
 
 
 @dataclass(frozen=True)
@@ -276,6 +279,7 @@ def classify(i: int, j: int, closed: bool = False) -> Relation:
     on the connecting homotopy; a non-concordant pair is reported
     non-isotopic by contraposition.
     """
+    _require_exact(bool, (closed,), "closed", DiagramError)
     evidence = {
         "equivalent": "common dual sphere and equal squares yield an "
                       "ambient diffeomorphism of pairs",

@@ -38,6 +38,7 @@ from .diagrams import (
     half_twist_tangle,
     reverse_mirror,
 )
+from .homology import _require_exact
 
 __all__ = [
     "NotHomotopic",
@@ -136,6 +137,7 @@ def clasped_side(color: str, clasps: int = 0,
     """A through-arc clasped ``clasps`` times with one closed component of
     the opposite color (closure linking ``clasps``), plus
     ``plain_extras`` unlinked closed components of its own color."""
+    _require_exact(int, (clasps, plain_extras), "clasps and plain extras", DiagramError)
     other = BLUE if color == RED else RED
     sign = 1 if clasps >= 0 else -1
     closed = (Strand("u", other),) + tuple(
@@ -151,6 +153,7 @@ def clasped_side(color: str, clasps: int = 0,
 
 def cap_link(linking: int) -> BicoloredLink:
     """A red/blue cap link with red-blue linking number ``linking``."""
+    _require_exact(int, (linking,), "cap linking", DiagramError)
     sign = 1 if linking >= 0 else -1
     return BicoloredLink(
         components=(LinkComponent("r", RED), LinkComponent("b", BLUE)),
@@ -277,6 +280,11 @@ class ClosedCaseData:
     blue_winding_plus: int = 0
     blue_winding_minus: int = 0
 
+    def __post_init__(self):
+        _require_exact(int, (self.red_winding_plus, self.red_winding_minus,
+                             self.blue_winding_plus, self.blue_winding_minus),
+                       "windings", DiagramError)
+
 
 def closed_model_data(s: ConcordanceSlice) -> ClosedCaseData:
     """Degenerate closed-case data: empty caps, zero windings."""
@@ -310,6 +318,8 @@ def _model_obstruction(i: int, j: int, closed: bool):
     """The model slice between the twist-i and twist-j spheres, its
     boundary-link linking ``lk_L`` and the obstruction parity, each
     computed once.  Raises NotHomotopic for an odd difference."""
+    _require_exact(int, (i, j), "twist counts", DiagramError)
+    _require_exact(bool, (closed,), "closed", DiagramError)
     if (i - j) % 2:
         raise NotHomotopic(
             f"twist counts {i} and {j} differ in parity; the spheres are "

@@ -146,6 +146,18 @@ def test_cyclic_covers(rng):
             assert again.total.word._closure == cover.total.word._closure
 
 
+def test_braid_word_powers(rng):
+    # power builds w^m unchecked: it must equal the public construction
+    words = [build_diagram(3, 2).attaching.word, BraidWord(1), BraidWord(4)]
+    words += [random_link(rng).word for _ in range(30)]
+    for w in words:
+        for m in range(129):
+            p = w.power(m)
+            again = certify(p)
+            assert again == BraidWord(w.strands, w.letters * m)
+            assert again._closure == p._closure
+
+
 def test_smith_forms_and_cokernels(rng):
     for _ in range(2000):
         rows, cols = rng.randint(0, 6), rng.randint(0, 6)

@@ -9,8 +9,7 @@ from lbkit.covers import (
 )
 from lbkit.diagrams import (
     RED, BLUE, AnnularComponent, AnnularLink, BraidWord, DiagramError,
-    _half_sum, braid_closure, half_twist_tangle, normalize_to_writhe,
-    swap_colors,
+    braid_closure, half_twist_tangle, normalize_to_writhe, swap_colors,
 )
 from lbkit.homology import AbelianGroup, boundary_h1, h1
 from lbkit.kirby import (
@@ -205,6 +204,11 @@ class TestSphereLifts:
     def test_wiring_is_twist_parity(self, n):
         assert lift_wiring(n) == n % 2
 
+    @pytest.mark.parametrize("twists", (True, False, 1.5, 2.0, "1"))
+    def test_wiring_needs_an_exact_twist_count(self, twists):
+        with pytest.raises(DiagramError, match="twist count must be int"):
+            lift_wiring(twists)
+
     def test_deck_image_on_components_and_tangles(self):
         cov = double_cover_diagram(build_diagram(3, 2))
         assert deck_image(cov, "upper.r") == "upper.b"
@@ -253,12 +257,12 @@ def reference_double_cover_diagram(d):
         comp = cov.total.component(cid)
         matrix[0][1 + k] = matrix[1 + k][0] = comp.winding
         matrix[1 + k][1 + k] = comp.framing
-    sums = BraidWord(cov.total.word.strands, cov.total.word.letters)._closure.sums  # fresh
+    word = BraidWord(cov.total.word.strands, cov.total.word.letters)  # fresh
     for x in range(n):
         for y in range(x + 1, n):
             a, b = order[x], order[y]
             if a in braid_set and b in braid_set:
-                value = _half_sum(sums, x, y)  # braid lifts sit at their cycle index
+                value = word._linking(x, y)  # braid lifts sit at their cycle index
             elif cov.sheet_of(a) != cov.sheet_of(b):
                 value = 0
             elif cov.base_of(a) == cov.base_of(b):

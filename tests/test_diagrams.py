@@ -340,6 +340,11 @@ class TestHalfTwistTangle:
     def test_empty_tangle_is_empty(self):
         assert empty_tangle() == ColoredTangle()
 
+    @pytest.mark.parametrize("n", (True, False, 2.0, 2.5, "1", None))
+    def test_twist_count_must_be_an_exact_int(self, n):
+        with pytest.raises(DiagramError, match="twist count must be int"):
+            half_twist_tangle(n, (RED, BLUE))
+
     @pytest.mark.parametrize("colors", ((None, None), (RED, BLUE)))
     def test_shared_crossings_match_the_per_crossing_reference(self, colors):
         for n in range(-9, 10):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lbkit import covers, diagrams, homology, homotopy, kirby, obstruction
+from lbkit.diagrams import DiagramError
 from lbkit.homology import AbelianGroup
 from lbkit.homotopy import (
     CrossedClass, Cycle, FingerMove, GroupMismatch, HomotopyTrace,
@@ -328,6 +329,25 @@ class TestClassifier:
         r = classify(0, 2)
         assert not r.topologically_concordant
         assert 0 < sum(built.values()) <= 50, built
+
+    @pytest.mark.parametrize("call, args, error, message", [
+        (twist_homotopy, (2.5,), DiagramError, "twist count must be int"),
+        (twist_homotopy, (True,), DiagramError, "twist count must be int"),
+        (connecting_homotopy, (False, 2), DiagramError, "twist counts must be int"),
+        (connecting_homotopy, (0, 4.0), DiagramError, "twist counts must be int"),
+        (classify, (True, 3), DiagramError, "twist count must be int"),
+        (classify, (2.0, 0), DiagramError, "twist count must be int"),
+        (classify, (0, 2, "x"), DiagramError, "closed must be bool"),
+        (classify, (0, 1, 1), DiagramError, "closed must be bool"),
+        (lightbulb_check, (k_fold(2), 1, 1), InvalidTrace,
+         "lightbulb hypotheses must be bool"),
+        (lightbulb_check, (k_fold(2), True, None), InvalidTrace,
+         "lightbulb hypotheses must be bool"),
+    ])
+    def test_twist_counts_and_flags_must_be_exact(self, call, args, error, message):
+        # checked where they enter: before any parity test or early return
+        with pytest.raises(error, match=message):
+            call(*args)
 
     def test_relation_chain_is_enforced(self):
         with pytest.raises(ValueError):

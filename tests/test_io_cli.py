@@ -862,38 +862,71 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-# The functions that may build a record through homology._built, skipping its
-# constructor's checks: each derives its records from records already checked.
-# serialize, cli and render are absent, so outside input always meets the
-# checking constructors.
+# The functions and methods (as Class.method) that may build a record through
+# homology._built, skipping its constructor's checks: each derives its records
+# from records already checked.  serialize, cli and render are absent, so
+# outside input always meets the checking constructors.
 UNCHECKED_BUILDS = {
     "homology.py": {"smith_normal_form", "cokernel", "h1", "boundary_h1"},
+    "diagrams.py": {"BraidWord.power"},
     "kirby.py": {"build_diagram", "_family_attaching", "handle_slide", "double"},
     "covers.py": {"cyclic_cover_link", "double_cover_diagram"},
 }
 
 
-def test_unchecked_builds_stay_in_the_listed_functions():
+def library_sites():
+    """(file name, site, node) for each top-level statement of each library
+    module, with a top-level class split into its header and its statements.
+    The site is a function's name, Class.method for a method, the class name
+    for its other statements, and None for the rest."""
     package = os.path.dirname(lbkit.cli.__file__)
-    found, seen = [], {}
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name)) as f:
                 tree = ast.parse(f.read(), name)
-            allowed = UNCHECKED_BUILDS.get(name, set())
             for top in tree.body:
-                for node in ast.walk(top):
-                    if isinstance(node, ast.alias) and node.name == "_built":
-                        if not allowed:
-                            found.append(f"{name}:{node.lineno} imports it")
-                    elif (isinstance(node, (ast.Name, ast.Attribute))
-                          and getattr(node, "id", getattr(node, "attr", None)) == "_built"):
-                        if isinstance(top, ast.FunctionDef) and top.name in allowed:
-                            seen.setdefault(name, set()).add(top.name)
-                        else:
-                            found.append(f"{name}:{node.lineno}")
+                if isinstance(top, ast.ClassDef):
+                    for node in top.decorator_list + top.bases + top.keywords:
+                        yield name, None, node
+                    for node in top.body:
+                        yield name, (f"{top.name}.{node.name}"
+                                     if isinstance(node, ast.FunctionDef) else top.name), node
+                else:
+                    yield name, getattr(top, "name", None), top
+
+
+def test_unchecked_builds_stay_in_the_listed_functions():
+    found, seen = [], {}
+    for name, site, part in library_sites():
+        allowed = UNCHECKED_BUILDS.get(name, set())
+        for node in ast.walk(part):
+            if isinstance(node, ast.alias) and node.name == "_built":
+                if not allowed:
+                    found.append(f"{name}:{node.lineno} imports it")
+            elif (isinstance(node, (ast.Name, ast.Attribute))
+                  and getattr(node, "id", getattr(node, "attr", None)) == "_built"):
+                if site in allowed:
+                    seen.setdefault(name, set()).add(site)
+                else:
+                    found.append(f"{name}:{node.lineno}")
     assert found == []
     assert seen == UNCHECKED_BUILDS  # the list names no site that is gone
+
+
+def test_closure_record_is_read_only_by_braid_words():
+    # a braid word's closure record (cycles, strand-to-cycle map, letter sums)
+    # is named only inside class BraidWord; the rest asks its methods
+    found, seen = [], []
+    for name, site, part in library_sites():
+        for node in ast.walk(part):
+            if ((isinstance(node, ast.Attribute) and node.attr == "_closure")
+                    or (isinstance(node, ast.FunctionDef) and node.name == "_closure")):
+                if name == "diagrams.py" and (site or "").split(".")[0] == "BraidWord":
+                    seen.append(node.lineno)
+                else:
+                    found.append(f"{name}:{node.lineno}")
+    assert found == []
+    assert seen  # BraidWord still keeps and reads it
 
 
 def test_no_instance_dict_is_written_outside_built():

@@ -378,6 +378,32 @@ class TestObstruction:
         with pytest.raises(NotHomotopic, match="not homotopic"):
             concordance_obstruction(0, 3)
 
+    @pytest.mark.parametrize("call, args, message", [
+        (concordance_obstruction, (1, True), "twist counts must be int"),
+        (concordance_obstruction, (2.0, 0), "twist counts must be int"),
+        (concordance_obstruction, (2.5, 0), "twist counts must be int"),
+        (concordance_obstruction, (0, 2, "x"), "closed must be bool"),
+        (concordance_obstruction, (0, 1, 1), "closed must be bool"),
+        (model_slice, (2.0, 0), "twist count must be int"),
+        (cap_link, (2.0,), "cap linking must be int"),
+        (cap_link, (True,), "cap linking must be int"),
+        (clasped_side, (RED, 1.0), "clasps and plain extras must be int"),
+        (clasped_side, (RED, True), "clasps and plain extras must be int"),
+        (clasped_side, (RED, 0, 2.0), "clasps and plain extras must be int"),
+    ])
+    def test_counts_and_flags_must_be_exact(self, call, args, message):
+        # checked before the parity test: 2.5 is not blamed on parity
+        with pytest.raises(DiagramError, match=message):
+            call(*args)
+
+    @pytest.mark.parametrize("winding", ("red_winding_plus", "red_winding_minus",
+                                         "blue_winding_plus", "blue_winding_minus"))
+    def test_windings_must_be_exact(self, winding):
+        s = model_slice(0, 2)
+        for bad in (1.5, True):
+            with pytest.raises(DiagramError, match="windings must be int"):
+                ClosedCaseData(s, cap_link(0), cap_link(0), **{winding: bad})
+
     @given(st.integers(-4, 4), st.integers(-4, 4),
            st.integers(-2, 2), st.integers(-2, 2))
     def test_symmetric_decorations_never_move_the_parity(self, a, b, u, v):
