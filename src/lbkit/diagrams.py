@@ -53,9 +53,12 @@ _OUT = "out"
 _ID = attrgetter("id")
 _SLOT_END = attrgetter("arc", "end")
 _BLOCK = itemgetter(0)
+# The most letters a braid word's power may have: refused past this before
+# the letters are built, since a power is stored letter by letter.
+MAX_POWER_LETTERS = 1 << 22
 
 __all__ = [
-    "RED", "BLUE", "PURPLE",
+    "RED", "BLUE", "PURPLE", "MAX_POWER_LETTERS",
     "DiagramError", "ColorMismatch", "OrientationMismatch", "BadSite",
     "BraidWord", "AnnularComponent", "AnnularLink",
     "Runs", "Strand", "Crossing", "Slot", "ColoredTangle",
@@ -140,6 +143,24 @@ class Runs:
             out.append(block[(k - base) % len(block)])
         return out[0] if one else tuple(out if up is picked else reversed(out))
 
+    def _replaced(self, items: dict) -> "Runs":
+        """This sequence with the item at each position key of ``items``
+        replaced, in O(runs + keys): only the copies of a block holding a
+        replaced position are written out."""
+        out, base, todo = [], 0, sorted(items, reverse=True)
+        for block, count in self._runs:
+            width, done = len(block), 0
+            while todo and todo[-1] < base + width * count:
+                q, copy = (todo[-1] - base) // width, list(block)
+                while todo and (todo[-1] - base) // width == q:
+                    at = todo.pop()
+                    copy[(at - base) % width] = items[at]
+                out += [(block, q - done), (tuple(copy), 1)]
+                done = q + 1
+            out.append((block, count - done))
+            base += width * count
+        return Runs(out)
+
     def __eq__(self, other):
         if not isinstance(other, (Runs, tuple)):
             return NotImplemented
@@ -148,6 +169,10 @@ class Runs:
             self._len == size and all(map(eq, self, other)))
 
     def __hash__(self):
+        """The hash of the expanded tuple, so equal sequences hash alike however
+        they are cut into runs.  It expands the sequence, in time and memory
+        linear in its length: the one accepted exception to run-level cost, as
+        no run-length form of a sequence is unique."""
         return hash(tuple(self))
 
     def __add__(self, other):
@@ -198,8 +223,12 @@ class BraidWord:
         _require_exact(int, (m,), "braid word powers", DiagramError)
         if m < 0:
             raise DiagramError("braid word powers must be non-negative")
+        if len(self.letters) * m > MAX_POWER_LETTERS:
+            raise DiagramError(f"a braid word power may have at most {MAX_POWER_LETTERS} "
+                               "letters (MAX_POWER_LETTERS)")
         # copies of checked letters, m checked exact: nothing to re-check
-        return _built(BraidWord, self.strands, self.letters * m)
+        # (an empty word stays empty: `() * m` overflows past sys.maxsize)
+        return _built(BraidWord, self.strands, self.letters * m if self.letters else ())
 
     def letter_strands(self) -> tuple[tuple[int, int, int], ...]:
         """For each letter, the two strands it crosses and its sign.
@@ -511,12 +540,14 @@ def empty_tangle() -> ColoredTangle:
 
 
 # The immutable parts half-twist tangles share: walls (bottom by twist
-# parity) and the crossing pair of each sign.
+# parity), the crossing pairs (each the other's flip) and arcs per colors.
 _TWIST_TOP = (Slot("a", 0, _IN), Slot("b", 0, _IN))
 _TWIST_BOTTOM = ((Slot("a", 1, _OUT), Slot("b", 1, _OUT)),
                  (Slot("b", 1, _OUT), Slot("a", 1, _OUT)))
 _POSITIVE_PAIR = (Crossing("a", "b", 1), Crossing("b", "a", 1))
 _NEGATIVE_PAIR = (Crossing("b", "a", -1), Crossing("a", "b", -1))
+_FLIPPED = dict(zip(_POSITIVE_PAIR + _NEGATIVE_PAIR, _NEGATIVE_PAIR + _POSITIVE_PAIR))
+_twist_arcs = lru_cache(maxsize=16)(lambda ca, cb: (Strand("a", ca), Strand("b", cb)))
 
 
 def half_twist_tangle(n: int, colors=(None, None)) -> ColoredTangle:
@@ -530,8 +561,9 @@ def half_twist_tangle(n: int, colors=(None, None)) -> ColoredTangle:
     then its first crossing |n| % 2 times.
     """
     _require_exact(int, (n,), "twist count", DiagramError)
-    ca, cb = colors
-    arcs = (Strand("a", ca), Strand("b", cb))
+    ca, cb = colors  # Strand names an unknown, maybe unhashable, color
+    arcs = (_twist_arcs(ca, cb) if ca in _COMPONENT_COLORS and cb in _COMPONENT_COLORS
+            else (Strand("a", ca), Strand("b", cb)))
     pair = _POSITIVE_PAIR if n > 0 else _NEGATIVE_PAIR
     k = abs(n)
     return ColoredTangle(arcs, (), Runs(((pair, k // 2), (pair[:1], k % 2))),
@@ -539,7 +571,7 @@ def half_twist_tangle(n: int, colors=(None, None)) -> ColoredTangle:
 
 
 def _flip(c: Crossing) -> Crossing:
-    return Crossing(c.under, c.over, -c.sign)
+    return _FLIPPED.get(c) or Crossing(c.under, c.over, -c.sign)
 
 
 _REVERSE = {_IN: _OUT, _OUT: _IN}
@@ -722,13 +754,20 @@ def bicolored_linking(link: BicoloredLink) -> int:
     colored; a closed diagram always has an even mixed count, so the
     result is an integer.
     """
-    for comp in link.components:
-        if comp.color not in (RED, BLUE):
-            raise DiagramError(f"component {comp.id!r} is not colored red or blue")
-    color = {c.id: c.color for c in link.components}
+    return _half_mixed_sum((("", link.components, link.crossings),))
+
+
+def _half_mixed_sum(parts) -> int:
+    """``bicolored_linking`` of the merge of ``(id prefix, strands, crossings)``
+    parts, read off each part's own strand colors without building it."""
     total = 0
-    for block, n in link.crossings.runs:
-        total += n * sum(c.sign for c in block if color[c.over] != color[c.under])
+    for prefix, strands, crossings in parts:
+        for s in strands:
+            if s.color not in (RED, BLUE):
+                raise DiagramError(f"component {prefix + s.id!r} is not colored red or blue")
+        color = {s.id: s.color for s in strands}
+        for block, n in crossings.runs:
+            total += n * sum(c.sign for c in block if color[c.over] != color[c.under])
     if total % 2:
         raise DiagramError("mixed crossings of a closed diagram must pair up")
     return total // 2
@@ -766,8 +805,9 @@ def reidemeister(d, move: str, site):
     that data: R1 adds a kink (component, sign), R2 adds a cancelling
     clasp (over, under, sign), and R3 slides a strand across a crossing,
     which permutes the three chosen crossings without changing either
-    the count or any linking number.  Sites that do not match the
-    pattern raise BadSite.
+    the count or any linking number; it rewrites only the block copies
+    holding them, so a word past sys.maxsize takes it in memory bounded
+    by its runs.  Sites that do not match the pattern raise BadSite.
     """
     ids = set(_component_ids(d))
     if move == "R1":
@@ -792,7 +832,7 @@ def reidemeister(d, move: str, site):
             i, j, k = site
         except (TypeError, ValueError):
             raise BadSite("R3 site is three crossing indices") from None
-        n = len(d.crossings)
+        n = d.crossings._len  # from the runs: len() caps at sys.maxsize
         if len({i, j, k}) != 3 or not all(0 <= x < n for x in (i, j, k)):
             raise BadSite(f"no R3 site at {site!r}")
         trio = [d.crossings[x] for x in (i, j, k)]
@@ -805,7 +845,6 @@ def reidemeister(d, move: str, site):
         # Some strand must be the one slid across: over in two crossings.
         if not any(sum(c.over == s for c in trio) == 2 for s in strands):
             raise BadSite("R3 needs a strand passing over two of the crossings")
-        new = list(d.crossings)
-        new[i], new[j], new[k] = new[k], new[i], new[j]
-        return replace(d, crossings=new)
+        moved = dict(zip((i, j, k), (trio[2], trio[0], trio[1])))
+        return replace(d, crossings=d.crossings._replaced(moved))
     raise DiagramError(f"unknown Reidemeister move {move!r}")

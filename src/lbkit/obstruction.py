@@ -10,8 +10,13 @@ link's red-blue linking number to be even, so an odd value obstructs.
 The evaluators below compute that linking number two ways and check
 they agree: globally, from the assembled link, and as the sum of a core
 term (inner and outer tangles alone) plus one closure term per side.
-For the model slices of the twist family the core works out to half the
-twist difference, which is where the mod-4 classification comes from.
+The global count merges every region into one ``BicoloredLink`` and
+counts its crossings.  The terms build no link: each is read off its
+tangles' own strand colors, run by run, with the same checks and
+messages as ``bicolored_linking`` on the merge or closure it stands for,
+and a side object serving several sides is counted once.  For the model
+slices of the twist family the core works out to half the twist
+difference, which is where the mod-4 classification comes from.
 
 The closed-manifold variant adds two cap links and their per-color
 winding numbers; symmetry of the caps and of the sides keeps every
@@ -34,6 +39,7 @@ from .diagrams import (
     Runs,
     Slot,
     Strand,
+    _half_mixed_sum,
     bicolored_linking,
     half_twist_tangle,
     reverse_mirror,
@@ -178,6 +184,12 @@ def model_slice(i: int, j: int) -> ConcordanceSlice:
     )
 
 
+def _one_through_arc(t: ColoredTangle) -> ColoredTangle:
+    if len(t.arcs) != 1:
+        raise DiagramError("a side closure needs exactly one through-arc")
+    return t
+
+
 def closure_of_side(t: ColoredTangle) -> BicoloredLink:
     """Close a side tangle's through-arc around the cylinder wall.
 
@@ -185,17 +197,15 @@ def closure_of_side(t: ColoredTangle) -> BicoloredLink:
     closure is unique: the through-arc becomes a closed component and
     everything else is carried over.
     """
-    if len(t.arcs) != 1:
-        raise DiagramError("a side closure needs exactly one through-arc")
     return BicoloredLink(tuple([LinkComponent(s.id, s.color)
-                                for s in t.arcs + t.closed]), t.crossings)
+                                for s in _one_through_arc(t).arcs + t.closed]), t.crossings)
 
 
 def side_linking(t: ColoredTangle) -> int:
-    """Red-blue linking of a side's closure; 0 for an empty side."""
+    """Red-blue linking of a side's closure, read off the side; 0 if empty."""
     if t.is_empty:
         return 0
-    return bicolored_linking(closure_of_side(t))
+    return _half_mixed_sum((("", _one_through_arc(t).arcs + t.closed, t.crossings),))
 
 
 # The component each color's arcs fuse into, shared by every merge.
@@ -233,20 +243,18 @@ def assemble_link(s: ConcordanceSlice) -> BicoloredLink:
     return _merge_regions(regions)
 
 
-def _core_linking(s: ConcordanceSlice) -> int:
-    """Linking contribution of the inner and outer tangles alone."""
-    core = _merge_regions([("inner", s.inner), ("outer", s.outer)])
-    return bicolored_linking(core)
-
-
 def slice_linking(s: ConcordanceSlice) -> int:
     """Red-blue linking of the assembled boundary link.
 
-    Computed as core term plus one closure term per side, then checked
-    against the direct count on the assembled link; the two ways agree
-    because regions never share crossings.
+    Computed as core term plus one closure term per side, each read off
+    its tangles' own strands, then checked against the direct count on
+    the assembled link; the two ways agree because regions never share crossings.
     """
-    value = _core_linking(s) + sum(side_linking(t) for t in s._sides())
+    value = _half_mixed_sum([(f"{label}.", t.arcs + t.closed, t.crossings)
+                             for label, t in (("inner", s.inner), ("outer", s.outer))])
+    distinct = {id(t): t for t in s._sides()}  # by id: hashing a tangle expands its word
+    term = {key: side_linking(t) for key, t in distinct.items()}
+    value += sum(term[id(t)] for t in s._sides())
     if value != bicolored_linking(assemble_link(s)):
         raise DiagramError(
             "side decomposition disagrees with the assembled link")

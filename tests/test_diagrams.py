@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lbkit.diagrams import (
-    RED, BLUE, PURPLE,
+    RED, BLUE, PURPLE, MAX_POWER_LETTERS,
     DiagramError, ColorMismatch, OrientationMismatch, BadSite,
     BraidWord, AnnularComponent, AnnularLink,
     Runs, Strand, Crossing, Slot, ColoredTangle, LinkComponent, BicoloredLink,
@@ -139,6 +139,14 @@ class TestBraidWord:
     def test_power_takes_exact_ints(self, bad):
         with pytest.raises(DiagramError, match="braid word powers must be int"):
             BraidWord(2, ((1, 1),)).power(bad)
+
+    def test_power_is_refused_past_the_letter_bound(self):
+        w = BraidWord(4, ((1, -1), (3, 1)))
+        assert len(w.power(MAX_POWER_LETTERS // 2).letters) == MAX_POWER_LETTERS
+        for m in (MAX_POWER_LETTERS // 2 + 1, 10 ** 9, 2 ** 70):
+            with pytest.raises(DiagramError, match="at most .* letters .MAX_POWER_LETTERS"):
+                w.power(m)
+        assert BraidWord(3).power(2 ** 70) == BraidWord(3)
 
     def test_cached_closure_data_does_not_grow_with_the_letters(self):
         def cached_sizes(w):

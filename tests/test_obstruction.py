@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 import lbkit
 from lbkit.diagrams import (
     RED, BLUE, PURPLE, BicoloredLink, ColorMismatch, ColoredTangle, Crossing,
-    DiagramError, LinkComponent, Slot, Strand,
+    DiagramError, LinkComponent, Runs, Slot, Strand,
     bicolored_linking, empty_tangle, half_twist_tangle, reverse_mirror,
     swap_colors,
 )
 from lbkit.homotopy import classify
 from lbkit.obstruction import (
-    ClosedCaseData, ConcordanceSlice, NotHomotopic,
+    ClosedCaseData, ConcordanceSlice, NotHomotopic, _merge_regions,
     assemble_link, cap_link, cap_symmetry_holds, clasped_side,
     closed_case_linking, closed_model_data, closure_of_side,
     concordance_obstruction, model_slice, side_linking,
@@ -91,6 +92,101 @@ def reference_assemble_link(s):
     crossings = [Crossing(rename[(label, c.over)], rename[(label, c.under)], c.sign)
                  for label, tangle in regions for c in tangle.crossings]
     return BicoloredLink(tuple(components), tuple(crossings))
+
+
+def with_closed(t, color, clasps):
+    """``t`` plus a closed strand x of ``color`` clasped ``clasps`` times
+    with the arc a, so a red/blue pair adds ``clasps`` to the linking."""
+    sign = 1 if clasps >= 0 else -1
+    pair = (Crossing("a", "x", sign), Crossing("x", "a", sign))
+    return replace(t, closed=(Strand("x", color),),
+                   crossings=t.crossings + Runs(((pair, abs(clasps)),)))
+
+
+@st.composite
+def slices(draw):
+    """Model slices, or cores with clasped closed strands under clasped
+    sides with closed extras.  Twist counts and clasps are all small enough
+    to write out, or all up to 2**70."""
+    bound = draw(st.sampled_from((12, 2 ** 70)))
+    counts = st.integers(-bound, bound)
+    i, j = draw(counts), draw(counts)
+    j += (i - j) % 2
+    if draw(st.booleans()):
+        return model_slice(i, j)
+    inner = half_twist_tangle(i, (RED, BLUE))
+    outer = reverse_mirror(half_twist_tangle(j, (RED, BLUE)))
+    if draw(st.booleans()):
+        inner = with_closed(inner, draw(st.sampled_from((RED, BLUE))), draw(counts))
+    if draw(st.booleans()):
+        outer = with_closed(outer, draw(st.sampled_from((RED, BLUE))), draw(counts))
+    extras = st.integers(0, 2)
+    sides = [clasped_side(color, draw(counts), draw(extras))
+             for color in (RED, BLUE, RED, BLUE)]
+    if draw(st.booleans()):  # one side object serving both ends, as model slices do
+        sides[2:] = sides[:2]
+    return ConcordanceSlice(inner, outer, *sides)
+
+
+def crossing_count(s):
+    return sum(len(block) * n for t in (s.inner, s.outer, *s._sides())
+               for block, n in t.crossings.runs)
+
+
+class TestTermsMatchTheirReferences:
+    """Each term of slice_linking is read off its tangles' own strands; it
+    must equal bicolored_linking of the link the term stands for."""
+
+    @settings(max_examples=300)
+    @given(slices())
+    def test_terms_equal_the_links_they_stand_for(self, s):
+        sides = [side_linking(t) for t in s._sides()]
+        for t, term in zip(s._sides(), sides):
+            assert term == bicolored_linking(closure_of_side(t))
+        core = _merge_regions([("inner", s.inner), ("outer", s.outer)])
+        assert slice_linking(s) - sum(sides) == bicolored_linking(core)
+        if crossing_count(s) <= 4000:  # the reference writes out every crossing
+            assert slice_linking(s) == bicolored_linking(reference_assemble_link(s))
+
+    @pytest.mark.parametrize("color", (None, PURPLE))
+    @pytest.mark.parametrize("where", ("inner", "outer"))
+    def test_an_uncolored_core_strand_is_named_with_its_region(self, where, color):
+        model = model_slice(2, 0)
+        tangle = with_closed(getattr(model, where), color, 1)
+        s = replace(model, **{where: tangle})
+        with pytest.raises(DiagramError) as merged:
+            bicolored_linking(_merge_regions([("inner", s.inner), ("outer", s.outer)]))
+        assert str(merged.value) == f"component '{where}.x' is not colored red or blue"
+        with pytest.raises(DiagramError, match=f"^{merged.value}$"):
+            slice_linking(s)
+
+    @pytest.mark.parametrize("color", (None, PURPLE))
+    def test_an_uncolored_side_strand_is_named(self, color):
+        side = ColoredTangle(arcs=(Strand("t", RED),), closed=(Strand("e", color),),
+                             top=(Slot("t", 0, "in"),), bottom=(Slot("t", 1, "out"),))
+        with pytest.raises(DiagramError) as closed:
+            bicolored_linking(closure_of_side(side))
+        assert str(closed.value) == "component 'e' is not colored red or blue"
+        with pytest.raises(DiagramError, match=f"^{closed.value}$"):
+            side_linking(side)
+        s = replace(model_slice(0, 0), side_minus_red=side)
+        with pytest.raises(DiagramError, match=f"^{closed.value}$"):
+            slice_linking(s)
+
+    def test_unpaired_core_crossings_are_refused(self):
+        s = model_slice(1, 0)  # one red-blue crossing: not a closed diagram
+        with pytest.raises(DiagramError, match="^mixed crossings of a closed "
+                           "diagram must pair up$"):
+            slice_linking(s)
+
+    def test_a_shared_side_is_counted_once(self, monkeypatch):
+        counted = []
+        real = side_linking
+        monkeypatch.setattr("lbkit.obstruction.side_linking",
+                            lambda t: counted.append(t) or real(t))
+        s = model_slice(4, 0)  # one trivial side object per color serves two sides
+        assert slice_linking(s) == 2
+        assert [id(t) for t in counted] == [id(s.side_plus_red), id(s.side_plus_blue)]
 
 
 class TestSides:

@@ -11,14 +11,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lbkit.diagrams import (
-    BLUE, RED, BadSite, Runs, bicolored_linking, half_twist_tangle,
-    reidemeister, reverse_mirror,
+    BLUE, RED, BadSite, BicoloredLink, Crossing, LinkComponent, Runs,
+    bicolored_linking, half_twist_tangle, reidemeister, reverse_mirror,
 )
 from lbkit.homology import AbelianGroup
 from lbkit.homotopy import (
@@ -87,6 +88,23 @@ class TestModel:
             assert type(r[s]) is tuple and r[s] == t[s], s
         with pytest.raises(ValueError):
             r[::0]
+
+    @settings(max_examples=300)
+    @given(run_lists, st.data())
+    def test_replaced_matches_assignment_on_the_tuple(self, a, data):
+        r, t = Runs(a), list(expand(a))
+        keys = data.draw(st.sets(st.integers(0, len(t) - 1), max_size=4)) if t else set()
+        items = {k: data.draw(st.sampled_from("xyz")) for k in keys}
+        for k, item in items.items():
+            t[k] = item
+        assert r._replaced(items) == tuple(t)
+
+    def test_replaced_past_sys_maxsize_writes_out_only_the_touched_copies(self):
+        r = Runs(((("a", "b", "c"), 2 ** 64), (("d",), 1)))
+        out = r._replaced({0: "x", 2: "y", 3 * 2 ** 63 + 1: "z", 3 * 2 ** 64: "w"})
+        assert out.runs == ((("x", "b", "y"), 1), (("a", "b", "c"), 2 ** 63 - 1),
+                            (("a", "z", "c"), 1), (("a", "b", "c"), 2 ** 63 - 1),
+                            (("w",), 1))
 
     def test_slices_past_sys_maxsize_read_the_runs(self):
         assert half_twist_tangle(2 ** 64).crossings[:1] == \
@@ -186,6 +204,14 @@ def reference_class(t):
     return CrossedClass(t.group, tuple(sorted(counts.items())))
 
 
+def reference_r3(d, site):
+    """R3 as first written: the three crossings moved in a list of every position."""
+    i, j, k = site
+    new = list(d.crossings)
+    new[i], new[j], new[k] = new[k], new[i], new[j]
+    return replace(d, crossings=tuple(new))
+
+
 def same_parity(i, j):
     """j moved by one towards zero when i and j differ in parity."""
     return j if (i - j) % 2 == 0 else j - 1 if j > 0 else j + 1
@@ -267,6 +293,25 @@ class TestAgainstPositionalReferences:
             assert bicolored_linking(link) == reference_linking(link)
 
 
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.lists(st.tuples(
+               st.sampled_from("xyz"), st.sampled_from("xyz"), st.sampled_from((1, -1))),
+               min_size=1, max_size=4), st.integers(1, 3)), min_size=1, max_size=4),
+           st.data())
+    def test_r3_matches_the_positional_swap(self, runs, data):
+        trio = Runs([(tuple(Crossing(*c) for c in block), n) for block, n in runs])
+        link = BicoloredLink(tuple(LinkComponent(c, RED if c != "y" else BLUE)
+                                   for c in "xyz"), trio)
+        assume(len(trio) >= 3)
+        site = tuple(data.draw(st.lists(st.integers(0, len(trio) - 1), min_size=3,
+                                        max_size=3, unique=True)))
+        try:
+            moved = reidemeister(link, "R3", site)
+        except BadSite:
+            return
+        assert moved == reference_r3(link, site)
+
+
 # --------------------------------------------------------------------------
 # memory: huge twist counts stay a few runs
 
@@ -319,3 +364,79 @@ def test_huge_twist_counts_stay_small_in_memory():
     assert out["homotopy"][3] < limit
     # k = 2 * 10**9 steps: even, so concordant and isotopic
     assert out["classify"][:3] == [True, True, True] and out["classify"][3] < limit
+
+
+# The library-level bounds and the run-level paths, in the same capped child:
+# a power past MAX_POWER_LETTERS is refused before its letters are built, R3
+# permutes three positions of a word past sys.maxsize by its runs, and the
+# obstruction's terms neither hash nor expand a word.
+BOUNDS_PROBE = """
+import json, resource, tracemalloc
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap if hard < 0 else min(cap, hard), hard))
+from lbkit.covers import cyclic_cover_link
+from lbkit.diagrams import (
+    BLUE, RED, BicoloredLink, BraidWord, Crossing, LinkComponent, Runs,
+    bicolored_linking, half_twist_tangle, reidemeister, reverse_mirror)
+from lbkit.kirby import build_diagram
+from lbkit.obstruction import (
+    ConcordanceSlice, clasped_side, concordance_obstruction, side_symmetry_holds,
+    slice_linking)
+
+def measured(call):
+    tracemalloc.reset_peak()
+    try:
+        value = call()
+    except Exception as err:
+        value = [type(err).__name__, str(err)]
+    return [value, tracemalloc.get_traced_memory()[1]]
+
+word, attaching = BraidWord(4, ((1, -1), (3, 1))), build_diagram(0, 0).attaching
+n = 2 ** 64 + 1
+s = ConcordanceSlice(
+    inner=half_twist_tangle(n, (RED, BLUE)),
+    outer=reverse_mirror(half_twist_tangle(-n, (RED, BLUE))),
+    side_plus_red=clasped_side(RED, 2 ** 70), side_plus_blue=clasped_side(BLUE, 2 ** 70),
+    side_minus_red=clasped_side(RED, -2 ** 70, 2),
+    side_minus_blue=clasped_side(BLUE, -2 ** 70))
+trio = (Crossing("x", "y", 1), Crossing("x", "z", 1), Crossing("y", "z", 1))
+link = BicoloredLink((LinkComponent("x", RED), LinkComponent("y", BLUE),
+                      LinkComponent("z", RED)), Runs(((trio, 2 ** 64),)))
+
+def r3():
+    moved = reidemeister(link, "R3", (3 * 2 ** 63, 3 * 2 ** 63 + 1, 3 * 2 ** 63 + 2))
+    return [len(moved.crossings.runs), bicolored_linking(moved) == bicolored_linking(link)]
+
+tracemalloc.start()
+print(json.dumps({
+    "power": measured(lambda: word.power(10 ** 9)),
+    "cover": measured(lambda: cyclic_cover_link(attaching, 10 ** 9)),
+    "r3_no_site": measured(lambda: reidemeister(half_twist_tangle(2 ** 64), "R3", (0, 1, 2))),
+    "r3": measured(r3),
+    "slice_linking": measured(lambda: slice_linking(s)),
+    "side_symmetry": measured(lambda: side_symmetry_holds(s)),
+    "obstruction": measured(lambda: concordance_obstruction(0, 2 * 10 ** 9, True)),
+}))
+"""
+
+
+def test_library_bounds_and_run_paths_stay_small_in_memory():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", BOUNDS_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    refused = ["DiagramError", f"a braid word power may have at most {1 << 22} "
+               "letters (MAX_POWER_LETTERS)"]
+    assert out["power"][0] == out["cover"][0] == refused
+    assert out["r3_no_site"][0] == ["BadSite", "R3 needs three mutually crossing strands"]
+    assert out["r3"][0] == [3, True]
+    # core (n - (-n)) / 2 = n; the sides cancel and are deck-symmetric
+    assert out["slice_linking"][0] == 2 ** 64 + 1
+    assert out["side_symmetry"][0] is True
+    assert out["obstruction"][0] == 0  # ((0 - 2 * 10**9) / 2) mod 2
+    for name, (_, peak) in out.items():
+        assert peak < 1 << 20, (name, peak)
