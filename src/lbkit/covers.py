@@ -6,7 +6,9 @@ of the same word.  The rest are covering rules, read off that word:
 
 * a winding-w component has gcd(w, m) lifts, each winding w/gcd(w, m)
   and carrying m/gcd(w, m) copies of every normalization kink;
-* a split (winding 0) component lifts to one copy per sheet;
+* a split (winding 0) component lifts to one copy per sheet, so a cover
+  past ``MAX_POWER_LETTERS`` letters and split lifts together is refused
+  before any lift is built;
 * lift framings are read off as writhes, which is why covering demands
   input normalized via ``normalize_to_writhe``.
 
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 
 from .diagrams import (
     BLUE,
+    MAX_POWER_LETTERS,
     RED,
     AnnularComponent,
     AnnularLink,
@@ -139,7 +142,10 @@ def cyclic_cover_link(link: AnnularLink, m: int) -> LinkCover:
     if not link.is_normalized():
         raise DiagramError("framings must be normalized to writhe before "
                            "covering (use normalize_to_writhe)")
-    word_m = link.word.power(m)
+    word_m = link.word.power(m)  # refuses m * letters past MAX_POWER_LETTERS
+    if m * (len(link.word.letters) + len(link.split)) > MAX_POWER_LETTERS:
+        raise DiagramError(f"a cyclic cover may have at most {MAX_POWER_LETTERS} letters "
+                           "and split lifts (MAX_POWER_LETTERS)")
     perm, cycles = link.word.permutation(), word_m.cycles()
 
     lifts = [None] * len(cycles)

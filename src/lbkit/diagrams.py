@@ -100,10 +100,11 @@ class Runs:
         kept, size = [], 0
         for block, count in runs:
             if block and count:
+                block = tuple(block)
                 size += len(block) * count
                 if kept and kept[-1][0] == block:
                     block, count = kept[-1][0], kept.pop()[1] + count
-                kept.append((tuple(block), count))
+                kept.append((block, count))
         self._runs, self._len = tuple(kept), size
 
     @staticmethod
@@ -178,7 +179,13 @@ class Runs:
     def __add__(self, other):
         if not isinstance(other, (Runs, tuple)):
             return NotImplemented
-        return Runs(self._runs + Runs.of(other)._runs) if self._runs else Runs.of(other)
+        other = Runs.of(other)
+        a, b = self._runs, other._runs
+        if a and b and a[-1][0] == b[0][0]:  # both merged already: only the junction can
+            a, b = a[:-1], ((a[-1][0], a[-1][1] + b[0][1]),) + b[1:]
+        out = object.__new__(Runs)
+        out._runs, out._len = a + b, self._len + other._len
+        return out
 
     def __radd__(self, other):
         return Runs.of(other) + self if isinstance(other, tuple) else NotImplemented
@@ -566,8 +573,9 @@ def half_twist_tangle(n: int, colors=(None, None)) -> ColoredTangle:
             else (Strand("a", ca), Strand("b", cb)))
     pair = _POSITIVE_PAIR if n > 0 else _NEGATIVE_PAIR
     k = abs(n)
-    return ColoredTangle(arcs, (), Runs(((pair, k // 2), (pair[:1], k % 2))),
-                         _TWIST_TOP, _TWIST_BOTTOM[n % 2])
+    # checked arcs, crossings and walls on the arcs' ids, n exact: nothing to re-check
+    return _built(ColoredTangle, arcs, (), Runs(((pair, k // 2), (pair[:1], k % 2))),
+                  _TWIST_TOP, _TWIST_BOTTOM[n % 2])
 
 
 def _flip(c: Crossing) -> Crossing:
@@ -589,8 +597,11 @@ def reverse_mirror(t: ColoredTangle) -> ColoredTangle:
     reverse_mirror(half_twist_tangle(n)) has the crossing list of
     half_twist_tangle(-n), in the same runs.
     """
-    return ColoredTangle(t.arcs, t.closed, t.crossings.map(_flip),
-                         _reversed(t.top), _reversed(t.bottom))
+    if not isinstance(t, ColoredTangle):
+        raise DiagramError(f"reverse_mirror expects a ColoredTangle, not {type(t).__name__}")
+    # its checked strands; flips and reversals from Crossing and Slot, same ends
+    return _built(ColoredTangle, t.arcs, t.closed, t.crossings.map(_flip),
+                  _reversed(t.top), _reversed(t.bottom))
 
 
 class _Merge:
@@ -738,13 +749,9 @@ def braid_closure_link(word: BraidWord, colors=None) -> BicoloredLink:
     names = [f"c{i}" for i in range(len(cycles))]
     comps = tuple(map(LinkComponent, names, colors))
     name = {s: names[word._cycle_of(s)] for s in range(1, word.strands + 1)}
-    crossings = []
-    for a, b, sign in word.letter_strands():
-        if sign > 0:
-            crossings.append(Crossing(name[a], name[b], 1))
-        else:
-            crossings.append(Crossing(name[b], name[a], -1))
-    return BicoloredLink(comps, tuple(crossings))
+    return BicoloredLink(comps, tuple(
+        Crossing(name[a], name[b], 1) if sign > 0 else Crossing(name[b], name[a], -1)
+        for a, b, sign in word.letter_strands()))
 
 
 def bicolored_linking(link: BicoloredLink) -> int:

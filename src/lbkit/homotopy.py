@@ -15,6 +15,11 @@ parity obstruction decides concordance, and the crossed-cycle class
 feeds the isotopy criterion (spheres with a common dual are smoothly
 isotopic when the class vanishes).  Non-isotopy is only ever concluded
 from non-concordance.
+
+``concat`` and ``crossed_class`` build their records unchecked
+(``_built``) from traces they first require to be ``HomotopyTrace``s,
+which their constructor has checked; the functions taking a trace refuse
+anything else with ``InvalidTrace``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from functools import cached_property, lru_cache
 
 from .covers import lift_wiring
 from .diagrams import DiagramError, Runs
-from .homology import AbelianGroup, _require_exact
+from .homology import AbelianGroup, _built, _require_exact
 from .obstruction import NotHomotopic, concordance_obstruction
 
 __all__ = [
@@ -95,8 +100,13 @@ class HomotopyTrace:
     cycles: Runs = Runs()
 
     def __post_init__(self):
+        if not isinstance(self.group, AbelianGroup):
+            raise InvalidTrace(f"a trace's group must be an AbelianGroup, not "
+                               f"{type(self.group).__name__}")
         object.__setattr__(self, "moves", Runs.of(self.moves))
         object.__setattr__(self, "cycles", Runs.of(self.cycles))
+        _require_exact(int, [n for _, n in self.moves.runs + self.cycles.runs],
+                       "run counts", InvalidTrace)
         for move in self.moves.items():
             if not isinstance(move, (FingerMove, WhitneyMove)):
                 raise InvalidTrace("moves must be finger or Whitney moves")
@@ -112,6 +122,11 @@ class HomotopyTrace:
 
 def empty_trace(group: AbelianGroup) -> HomotopyTrace:
     return HomotopyTrace(group)
+
+
+def _require_trace(t) -> None:
+    if not isinstance(t, HomotopyTrace):
+        raise InvalidTrace(f"expected a HomotopyTrace, not {type(t).__name__}")
 
 
 _Z2 = AbelianGroup(0, (2,))
@@ -136,9 +151,12 @@ def twist_homotopy(n: int) -> HomotopyTrace:
 
 def concat(a: HomotopyTrace, b: HomotopyTrace) -> HomotopyTrace:
     """Run one homotopy after the other."""
+    _require_trace(a)
+    _require_trace(b)
     if a.group is not b.group and a.group != b.group:
         raise GroupMismatch("traces live over different groups")
-    return HomotopyTrace(a.group, a.moves + b.moves, a.cycles + b.cycles)
+    # the runs of two checked traces, joined: nothing to re-check
+    return _built(HomotopyTrace, a.group, a.moves + b.moves, a.cycles + b.cycles)
 
 
 def connecting_homotopy(i: int, j: int) -> HomotopyTrace:
@@ -167,6 +185,7 @@ def cycle_validate(t: HomotopyTrace) -> bool:
     """Counting checks: minima pair with finger moves, maxima with
     Whitney moves, and crossed cycles carry order <= 2 elements (each
     distinct element is checked once, in order of first appearance)."""
+    _require_trace(t)
     if sum(n * c.minima for b, n in t.cycles.runs for c in b) != 2 * t.finger_count:
         return False
     if sum(n * c.maxima for b, n in t.cycles.runs for c in b) != 2 * t.whitney_count:
@@ -224,13 +243,15 @@ def crossed_class(t: HomotopyTrace) -> CrossedClass:
     cycles on the trivial element contribute to no key.  The class is
     additive, so each crossed cycle of a run is reduced once and counted
     as many times as the run repeats."""
+    _require_trace(t)
     counts = {el: 0 for el in _order_two(t.group)}
     for block, n in t.cycles.runs:
         for c in block:
             el = t.group.reduce(c.element) if c.crossed else None
             if el in counts:
                 counts[el] += n
-    return CrossedClass(t.group, tuple(counts.items()))
+    # the keys are _order_two(group), sorted; the exact-int counts reduce mod 2
+    return _built(CrossedClass, t.group, tuple((el, n % 2) for el, n in counts.items()))
 
 
 def lightbulb_check(t: HomotopyTrace, common_dual: bool,

@@ -10,13 +10,17 @@ link's red-blue linking number to be even, so an odd value obstructs.
 The evaluators below compute that linking number two ways and check
 they agree: globally, from the assembled link, and as the sum of a core
 term (inner and outer tangles alone) plus one closure term per side.
-The global count merges every region into one ``BicoloredLink`` and
-counts its crossings.  The terms build no link: each is read off its
-tangles' own strand colors, run by run, with the same checks and
-messages as ``bicolored_linking`` on the merge or closure it stands for,
-and a side object serving several sides is counted once.  For the model
-slices of the twist family the core works out to half the twist
-difference, which is where the mod-4 classification comes from.
+The global count merges every region into one ``BicoloredLink``, which
+its checking constructor builds, and counts its crossings.  The terms
+build no link: each is read off its tangles' own strand colors, run by
+run, with the same checks and messages as ``bicolored_linking`` on the
+merge or closure it stands for, and a side object serving several sides
+is counted once.  For the model slices of the twist family the core
+works out to half the twist difference, which is where the mod-4
+classification comes from.  A model slice, its twist tangles and their
+reverse mirror are built unchecked (``_built``) from checked parts: the
+shared arcs, crossings, walls and trivial sides; the merged link stays
+checked, so the global count does not rest on them.
 
 The closed-manifold variant adds two cap links and their per-color
 winding numbers; symmetry of the caps and of the sides keeps every
@@ -44,7 +48,7 @@ from .diagrams import (
     half_twist_tangle,
     reverse_mirror,
 )
-from .homology import _require_exact
+from .homology import _built, _require_exact
 
 __all__ = [
     "NotHomotopic",
@@ -174,14 +178,10 @@ def model_slice(i: int, j: int) -> ConcordanceSlice:
     product region presents it.  Sides: trivial, symmetric under the
     color exchange.
     """
-    return ConcordanceSlice(
-        inner=half_twist_tangle(i, (RED, BLUE)),
-        outer=reverse_mirror(half_twist_tangle(j, (RED, BLUE))),
-        side_plus_red=_TRIVIAL_RED,
-        side_plus_blue=_TRIVIAL_BLUE,
-        side_minus_red=_TRIVIAL_RED,
-        side_minus_blue=_TRIVIAL_BLUE,
-    )
+    # one red and one blue arc at each end, one arc of its color per side
+    return _built(ConcordanceSlice, half_twist_tangle(i, (RED, BLUE)),
+                  reverse_mirror(half_twist_tangle(j, (RED, BLUE))),
+                  _TRIVIAL_RED, _TRIVIAL_BLUE, _TRIVIAL_RED, _TRIVIAL_BLUE)
 
 
 def _one_through_arc(t: ColoredTangle) -> ColoredTangle:

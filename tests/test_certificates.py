@@ -9,6 +9,7 @@ types: a derived record holds nothing its constructor would refuse or
 normalize.
 """
 
+from collections import Counter
 from itertools import repeat
 
 import pytest
@@ -16,17 +17,23 @@ import pytest
 from lbkit import homology
 from lbkit.covers import cyclic_cover_link, double_cover_diagram
 from lbkit.diagrams import (
-    AnnularComponent, AnnularLink, BraidWord, DiagramError, braid_closure,
-    normalize_to_writhe,
+    BLUE, RED, AnnularComponent, AnnularLink, BicoloredLink, BraidWord,
+    ColoredTangle, DiagramError, Runs, braid_closure, half_twist_tangle,
+    normalize_to_writhe, reverse_mirror,
 )
 from lbkit.homology import (
     AbelianGroup, IntMatrix, _built, boundary_h1, cokernel, h1,
     smith_normal_form,
 )
+from lbkit.homotopy import (
+    CrossedClass, Cycle, FingerMove, HomotopyTrace, WhitneyMove, classify,
+    concat, connecting_homotopy, crossed_class,
+)
 from lbkit.kirby import (
     KirbyDiagram, TwoHandle, build_diagram, double, ensure_attaching,
     handle_slide,
 )
+from lbkit.obstruction import ConcordanceSlice, model_slice
 from lbkit.serialize import dumps, kirby_to_obj, load_diagram
 
 DEGREES = (1, 2, 3, 8, 32, 128)
@@ -191,3 +198,83 @@ def test_derived_values_past_the_checks_are_refused():
     clash = load_diagram(dumps({**kirby_to_obj(d), "dotted": ["upper.r"]}))
     with pytest.raises(DiagramError, match="handle ids must be unique"):
         double_cover_diagram(clash)
+
+
+@pytest.mark.parametrize("colors", ((None, None), (RED, BLUE)))
+def test_twist_tangles_and_their_reverse_mirrors(colors):
+    for n in range(-300, 301):
+        t = half_twist_tangle(n, colors)
+        certify(t)
+        certify(reverse_mirror(t))
+        certify(reverse_mirror(reverse_mirror(t)))
+
+
+def test_model_slices(rng):
+    pairs = [(rng.randint(-300, 300), rng.randint(-300, 300)) for _ in range(400)]
+    pairs += [(i, i + d) for i in (-7, 0, 4) for d in range(-6, 7)]
+    assert {(i - j) % 2 for i, j in pairs} == {0, 1}
+    for i, j in pairs:
+        certify(model_slice(i, j))
+
+
+def test_connecting_homotopies_and_their_classes():
+    for i in (-31, 0, 12):
+        for d in range(-400, 401, 2):
+            t = connecting_homotopy(i, i + d)
+            certify(t)
+            certify(crossed_class(t))
+
+
+def random_trace(rng, group, elements):
+    """A trace over ``group`` from its checking constructor: a few runs of
+    moves and cycles on ``elements``, valid or not.  (``certify`` hashes, and
+    a hash expands the runs, so the counts stay small.)"""
+    def runs(make):
+        return Runs([(tuple(make() for _ in range(rng.randint(1, 3))), rng.randint(1, 5))
+                     for _ in range(rng.randint(0, 3))])
+    move = lambda: rng.choice((FingerMove, WhitneyMove))(rng.choice(elements))
+    cycle = lambda: Cycle(rng.random() < 0.7, rng.choice(elements),
+                          rng.randint(0, 2), rng.randint(0, 2))
+    return HomotopyTrace(group, runs(move), runs(cycle))
+
+
+@pytest.mark.parametrize("group, elements", [
+    (AbelianGroup(0, (2,)), ((0,), (1,), (3,), (-1,))),
+    (AbelianGroup(0, (2, 4)), ((0, 0), (1, 0), (0, 2), (1, 2), (3, -2), (0, 1), (1, 3))),
+])
+def test_concatenations_and_their_classes(rng, group, elements):
+    # an equal group in a separate object joins as the same group
+    twin = AbelianGroup(group.free_rank, group.invariant_factors)
+    traces = [random_trace(rng, rng.choice((group, twin)), elements) for _ in range(40)]
+    for _ in range(300):
+        a, b = rng.choice(traces), rng.choice(traces)
+        joined = concat(a, b)
+        certify(joined)
+        certify(crossed_class(joined))
+        traces.append(joined)
+    for t in traces[:40]:
+        certify(crossed_class(t))
+
+
+CHECKED = (ColoredTangle, ConcordanceSlice, HomotopyTrace, CrossedClass, BicoloredLink)
+
+
+def test_classify_runs_only_the_global_count_check(monkeypatch):
+    """After a warm-up call fills the shared-part caches, an even pair runs
+    one constructor check of these records: the merged link's, which keeps
+    the global count independent of the per-term one."""
+    assert classify(-30, 50).smoothly_isotopic
+    made = Counter()
+    for cls in CHECKED:
+        def counting(self, check=cls.__post_init__, name=cls.__name__):
+            made[name] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    assert classify(-30, 50).smoothly_isotopic
+    assert made == Counter({"BicoloredLink": 1})
+    # the wrappers do count each listed record's checking constructor
+    z2 = AbelianGroup(0, (2,))
+    ConcordanceSlice(*[ColoredTangle()] * 6)
+    HomotopyTrace(z2)
+    CrossedClass(z2, (((1,), 0),))
+    assert made == Counter(cls.__name__ for cls in CHECKED)

@@ -13,6 +13,7 @@ from lbkit.diagrams import (
     close_tangle, stack_tangles, bicolored_linking, mirror_image,
     swap_colors, reidemeister,
 )
+from lbkit import covers, diagrams
 from lbkit.covers import cyclic_cover_link
 from lbkit.obstruction import clasped_side
 
@@ -147,6 +148,23 @@ class TestBraidWord:
             with pytest.raises(DiagramError, match="at most .* letters .MAX_POWER_LETTERS"):
                 w.power(m)
         assert BraidWord(3).power(2 ** 70) == BraidWord(3)
+
+    def test_cover_counts_split_lifts_against_the_letter_bound(self, monkeypatch):
+        # m lifts per split component: m * (letters + split) is bounded
+        split = (AnnularComponent("u", frozenset()),)
+        bare = AnnularLink(BraidWord(1), (AnnularComponent("c", frozenset({1})),), split)
+        for m in (MAX_POWER_LETTERS + 1, 10 ** 9, 2 ** 70):
+            with pytest.raises(DiagramError, match="at most .* letters and split lifts"):
+                cyclic_cover_link(bare, m)
+        # at the edge, with the bound lowered to 12 where both modules read it
+        monkeypatch.setattr(diagrams, "MAX_POWER_LETTERS", 12)
+        monkeypatch.setattr(covers, "MAX_POWER_LETTERS", 12)
+        family = normalize_to_writhe(AnnularLink(
+            FAMILY_WORD, braid_closure(FAMILY_WORD).components, split))  # 2 letters
+        for link, edge in ((bare, 12), (family, 4)):
+            assert len(cyclic_cover_link(link, edge).total.split) == edge
+            with pytest.raises(DiagramError, match="at most 12 letters and split lifts"):
+                cyclic_cover_link(link, edge + 1)  # the word's power alone passes
 
     def test_cached_closure_data_does_not_grow_with_the_letters(self):
         def cached_sizes(w):
@@ -363,6 +381,15 @@ class TestHalfTwistTangle:
             assert mirrored == reference_reverse_mirror(t), n
             assert len({id(c) for c in mirrored.crossings}) == min(abs(n), 2)
             assert mirror_image(t).crossings == mirrored.crossings
+
+    @pytest.mark.parametrize("t", [
+        (), "x", BicoloredLink(), close_tangle(half_twist_tangle(2, (RED, BLUE))),
+        # a tangle's attribute names, on an object that is no ColoredTangle
+        type("Duck", (), vars(half_twist_tangle(3)) | {"__slots__": ()})(),
+    ])
+    def test_reverse_mirror_takes_only_a_colored_tangle(self, t):
+        with pytest.raises(DiagramError, match="reverse_mirror expects a ColoredTangle, not"):
+            reverse_mirror(t)
 
     @pytest.mark.parametrize("clasps", (-3, -1, 2))
     def test_reverse_mirror_of_clasped_regions_matches_the_reference(self, clasps):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lbkit import covers, diagrams, homology, homotopy, kirby, obstruction
-from lbkit.diagrams import DiagramError
-from lbkit.homology import AbelianGroup
+from lbkit.diagrams import DiagramError, Runs
+from lbkit.homology import AbelianGroup, IntMatrix
 from lbkit.homotopy import (
     CrossedClass, Cycle, FingerMove, GroupMismatch, HomotopyTrace,
     InvalidTrace, Relation, WhitneyMove,
@@ -118,6 +118,51 @@ class TestTraces:
     def test_negative_extrema_rejected(self):
         with pytest.raises(InvalidTrace):
             Cycle(False, (1,), -1, 0)
+
+
+class _DuckTrace:
+    """A trace's attribute names and values, on an object that is no
+    HomotopyTrace."""
+
+    def __init__(self, t):
+        self.group, self.moves, self.cycles = t.group, t.moves, t.cycles
+        self.finger_count, self.whitney_count = t.finger_count, t.whitney_count
+
+
+NOT_TRACES = [(), "x", Cycle(True, (1,), 2, 2), _DuckTrace(twist_homotopy(0))]
+
+
+@pytest.mark.parametrize("bad", NOT_TRACES, ids=["tuple", "str", "record", "duck"])
+@pytest.mark.parametrize("call", [
+    lambda x: concat(x, twist_homotopy(0)),
+    lambda x: concat(twist_homotopy(0), x),
+    lambda x: concat(x, x),
+    crossed_class,
+    cycle_validate,
+    lambda x: lightbulb_check(x, True, True),
+], ids=["concat-first", "concat-second", "concat-both", "crossed_class",
+        "cycle_validate", "lightbulb_check"])
+def test_trace_functions_take_only_traces(call, bad):
+    with pytest.raises(InvalidTrace, match="expected a HomotopyTrace, not"):
+        call(bad)
+
+
+@pytest.mark.parametrize("group", ["x", (2,), None, IntMatrix(1, 1, ((2,),))])
+def test_a_trace_group_must_be_an_abelian_group(group):
+    with pytest.raises(InvalidTrace, match="group must be an AbelianGroup, not"):
+        HomotopyTrace(group)
+
+
+def test_run_counts_of_a_trace_must_be_exact_ints():
+    step = (FingerMove((1,)), WhitneyMove((1,)))
+    cycle = (Cycle(True, (1,), 2, 2),)
+    for count in (2.0, True):
+        with pytest.raises(InvalidTrace, match="run counts must be int"):
+            HomotopyTrace(Z2, Runs(((step, count),)))
+        with pytest.raises(InvalidTrace, match="run counts must be int"):
+            HomotopyTrace(Z2, (), Runs(((cycle, count),)))
+    t = HomotopyTrace(Z2, Runs(((step, 2 ** 70),)), Runs(((cycle, 2 ** 70),)))
+    assert cycle_validate(t) and crossed_class(t).is_zero
 
 
 class TestCycleValidation:

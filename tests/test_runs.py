@@ -38,6 +38,7 @@ Z2Z4 = AbelianGroup(0, (2, 4))
 
 blocks = st.lists(st.sampled_from("abc"), max_size=3).map(tuple)
 run_lists = st.lists(st.tuples(blocks, st.integers(0, 4)), max_size=5)
+counts = st.one_of(st.integers(0, 4), st.integers(sys.maxsize - 2, 2 ** 70))
 
 
 def expand(runs):
@@ -98,6 +99,24 @@ class TestModel:
         for k, item in items.items():
             t[k] = item
         assert r._replaced(items) == tuple(t)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(blocks, counts), max_size=5),
+           st.lists(st.tuples(blocks, counts), max_size=5), blocks,
+           st.sampled_from(("none", "left", "right", "both")), st.booleans())
+    def test_joining_merges_only_the_junction_run(self, a, b, shared, where, lists):
+        # the same block may end the left operand and start the right one
+        a = a + [(shared, 3)] * (where in ("left", "both"))
+        b = [(shared, 2)] * (where in ("right", "both")) + b
+        if lists:  # list blocks are normalized like tuple blocks
+            a = [(list(block), n) for block, n in a]
+        r, s = Runs(a), Runs(b)
+        for left, right in ((r, s), (r, shared), (shared, s), (r, ()), ((), s)):
+            joined = left + right
+            want = Runs(Runs.of(left).runs + Runs.of(right).runs)
+            assert type(joined) is Runs and joined.runs == want.runs
+            size = sum(len(block) * n for block, n in want.runs)
+            assert joined._len == want._len == size
 
     def test_replaced_past_sys_maxsize_writes_out_only_the_touched_copies(self):
         r = Runs(((("a", "b", "c"), 2 ** 64), (("d",), 1)))
@@ -367,7 +386,8 @@ def test_huge_twist_counts_stay_small_in_memory():
 
 
 # The library-level bounds and the run-level paths, in the same capped child:
-# a power past MAX_POWER_LETTERS is refused before its letters are built, R3
+# a power past MAX_POWER_LETTERS is refused before its letters are built, and
+# a cover past it in letters and split lifts before its lifts are built; R3
 # permutes three positions of a word past sys.maxsize by its runs, and the
 # obstruction's terms neither hash nor expand a word.
 BOUNDS_PROBE = """
@@ -377,8 +397,9 @@ cap = 1 << 30
 resource.setrlimit(resource.RLIMIT_AS, (cap if hard < 0 else min(cap, hard), hard))
 from lbkit.covers import cyclic_cover_link
 from lbkit.diagrams import (
-    BLUE, RED, BicoloredLink, BraidWord, Crossing, LinkComponent, Runs,
-    bicolored_linking, half_twist_tangle, reidemeister, reverse_mirror)
+    BLUE, RED, AnnularComponent, AnnularLink, BicoloredLink, BraidWord, Crossing,
+    LinkComponent, Runs, bicolored_linking, half_twist_tangle, reidemeister,
+    reverse_mirror)
 from lbkit.kirby import build_diagram
 from lbkit.obstruction import (
     ConcordanceSlice, clasped_side, concordance_obstruction, side_symmetry_holds,
@@ -393,6 +414,8 @@ def measured(call):
     return [value, tracemalloc.get_traced_memory()[1]]
 
 word, attaching = BraidWord(4, ((1, -1), (3, 1))), build_diagram(0, 0).attaching
+unknot = AnnularLink(BraidWord(1), (AnnularComponent("c", frozenset({1})),),
+                     (AnnularComponent("u", frozenset()),))  # no letters, one split lift per sheet
 n = 2 ** 64 + 1
 s = ConcordanceSlice(
     inner=half_twist_tangle(n, (RED, BLUE)),
@@ -412,6 +435,7 @@ tracemalloc.start()
 print(json.dumps({
     "power": measured(lambda: word.power(10 ** 9)),
     "cover": measured(lambda: cyclic_cover_link(attaching, 10 ** 9)),
+    "split_lifts": measured(lambda: cyclic_cover_link(unknot, 10 ** 9)),
     "r3_no_site": measured(lambda: reidemeister(half_twist_tangle(2 ** 64), "R3", (0, 1, 2))),
     "r3": measured(r3),
     "slice_linking": measured(lambda: slice_linking(s)),
@@ -432,6 +456,8 @@ def test_library_bounds_and_run_paths_stay_small_in_memory():
     refused = ["DiagramError", f"a braid word power may have at most {1 << 22} "
                "letters (MAX_POWER_LETTERS)"]
     assert out["power"][0] == out["cover"][0] == refused
+    assert out["split_lifts"][0] == ["DiagramError", f"a cyclic cover may have at most {1 << 22} "
+                                     "letters and split lifts (MAX_POWER_LETTERS)"]
     assert out["r3_no_site"][0] == ["BadSite", "R3 needs three mutually crossing strands"]
     assert out["r3"][0] == [3, True]
     # core (n - (-n)) / 2 = n; the sides cancel and are deck-symmetric
