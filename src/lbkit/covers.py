@@ -2,13 +2,17 @@
 
 The solid torus unwinds along its circle factor, so the degree-m cover
 of a braid closure is the closure of ``word.power(m)``, the m-th power
-of the same word.  The rest are covering rules, read off that word:
+of the same word, whose cycles and letter sums the power reads off the
+base word's one pass, so no cover walks its m copies.  The rest are
+covering rules, read off that word:
 
 * a winding-w component has gcd(w, m) lifts, each winding w/gcd(w, m)
   and carrying m/gcd(w, m) copies of every normalization kink;
 * a split (winding 0) component lifts to one copy per sheet, so a cover
   past ``MAX_POWER_LETTERS`` letters and split lifts together is refused
-  before any lift is built;
+  before any lift is built; each component's sheet labels, colors and
+  lift names are worked out once, and its map rows, deck pairs and split
+  lifts are read off them in one pass;
 * lift framings are read off as writhes, which is why covering demands
   input normalized via ``normalize_to_writhe``.
 
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from .diagrams import (
     BLUE,
@@ -54,7 +59,7 @@ __all__ = [
 ]
 
 
-_DOUBLE_SHEETS = (("r", RED), ("b", BLUE))  # (label, color) of each sheet in degree 2
+_DOUBLE_LABELS, _DOUBLE_COLORS = ("r", "b"), (RED, BLUE)  # of the two sheets in degree 2
 
 
 def _lookup(table: dict, key: str, what: str):
@@ -152,30 +157,27 @@ def cyclic_cover_link(link: AnnularLink, m: int) -> LinkCover:
     split = []
     cover_map: list[tuple[str, str, str]] = []
     deck: list[tuple[str, str]] = []
-    # A split component is the winding-0 case: gcd(0, m) = m lifts, one
-    # per sheet, no strands to follow, and (the input being normalized)
-    # framed by its kinks.
     for comp in link.all_components():
         g = math.gcd(comp.winding, m)
         kinks = comp.kinks * (m // g)
-        rep = min(comp.strands, default=None)
-        names, ks = [], []
-        for j in range(g):
-            label, color = _DOUBLE_SHEETS[j] if m == 2 else (str(j), comp.color)
-            name = comp.id if m == 1 else f"{comp.id}.{label}"
-            if rep is None:
-                split.append(_built(AnnularComponent,
-                    name, frozenset(), color, kinks, comp.orientation, kinks))
-            else:
-                k = word_m._cycle_of(rep)
-                lifts[k] = _built(
-                    AnnularComponent, name, cycles[k], color, word_m._self_writhe(k) + kinks,
-                    comp.orientation, kinks)
-                ks.append(k)
-                rep = perm[rep - 1]
-            cover_map.append((name, comp.id, label))
-            names.append(name)
-        deck.extend((names[j], names[(j + 1) % g]) for j in range(g))
+        labels, colors = ((_DOUBLE_LABELS[:g], _DOUBLE_COLORS[:g]) if m == 2
+                          else (tuple(map(str, range(g))), [comp.color] * g))
+        names = [comp.id] if m == 1 else [f"{comp.id}.{label}" for label in labels]
+        cover_map += zip(names, repeat(comp.id), labels)
+        deck += zip(names, names[1:] + names[:1])
+        if not comp.strands:
+            # the winding-0 case: gcd(0, m) = m lifts, one per sheet, no strands
+            # to follow, and (the input being normalized) framed by their kinks
+            split += [_built(AnnularComponent, name, frozenset(), color, kinks,
+                             comp.orientation, kinks) for name, color in zip(names, colors)]
+            continue
+        ks, rep = [], min(comp.strands)
+        for name, color in zip(names, colors):
+            k = word_m._cycle_of(rep)
+            lifts[k] = _built(AnnularComponent, name, cycles[k], color,
+                              word_m._self_writhe(k) + kinks, comp.orientation, kinks)
+            ks.append(k)
+            rep = perm[rep - 1]
         for k in ks:
             siblings = sum(word_m._linking(k, other) for other in ks if other != k)
             if (m // g) * comp.framing != lifts[k].framing + siblings:

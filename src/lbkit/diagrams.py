@@ -14,9 +14,9 @@ Three diagram types:
   endpoint slots on the top and bottom walls.
 * ``BicoloredLink``: a closed diagram whose components carry colors.
 
-A ``BraidWord`` owns its closure data, from one pass over its letters,
-and its powers (a cover's word is ``power(m)``): annular links, closed
-diagrams and covers ask the word's methods for it, by cycle index.
+A ``BraidWord`` owns its closure data, from one pass over its letters; a
+power's (a cover's word is ``power(m)``) is read off that same pass. Annular
+links, closed diagrams and covers ask the word's methods for it, by cycle index.
 
 Conventions, fixed once and used by every module:
 
@@ -38,6 +38,7 @@ import reprlib
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import chain, product, repeat, starmap
+from math import lcm
 from operator import attrgetter, eq, itemgetter
 from typing import NamedTuple
 
@@ -99,6 +100,8 @@ class Runs:
     def __init__(self, runs=()):
         kept, size = [], 0
         for block, count in runs:
+            if count < 0:
+                raise DiagramError(f"run counts must be non-negative, got {count}")
             if block and count:
                 block = tuple(block)
                 size += len(block) * count
@@ -205,6 +208,8 @@ class BraidWord:
     The closure record is cached from one pass over the letters, in space
     bounded by the square of the strand count, and read only through
     ``permutation``, ``cycles``, ``_cycle_of``, ``_self_writhe`` and ``_linking``.
+    ``power(m)`` reads its pass off this one: copy u crosses pi^-u(a) and pi^-u(b)
+    where copy 0 crosses a and b, and pi^-u repeats with the order of pi.
     """
 
     strands: int
@@ -235,7 +240,20 @@ class BraidWord:
                                "letters (MAX_POWER_LETTERS)")
         # copies of checked letters, m checked exact: nothing to re-check
         # (an empty word stays empty: `() * m` overflows past sys.maxsize)
-        return _built(BraidWord, self.strands, self.letters * m if self.letters else ())
+        word = _built(BraidWord, self.strands, self.letters * m if self.letters else ())
+        perm, pairs = self._walk  # the power's pass, read off this one
+        inv = dict(zip(perm, range(1, len(perm) + 1)))  # pi^-1
+        order, sums = lcm(*map(len, self.cycles())), {}
+        for (a, b), total in pairs.items():  # zero sums stay, as in a walk
+            for t in range(min(m, order)):  # the copies u < m with u = t mod order
+                sums[a, b] = sums.get((a, b), 0) + total * ((m - 1 - t) // order + 1)
+                a, b = inv[a], inv[b]
+        image, step, k = tuple(range(1, len(perm) + 1)), perm, m % order  # pi^m, by squaring
+        while k:
+            image = tuple(step[s - 1] for s in image) if k & 1 else image
+            step, k = tuple(step[s - 1] for s in step), k >> 1
+        object.__setattr__(word, "_walk", (image, sums))
+        return word
 
     def letter_strands(self) -> tuple[tuple[int, int, int], ...]:
         """For each letter, the two strands it crosses and its sign.
@@ -515,6 +533,7 @@ class ColoredTangle:
         for name in ("arcs", "closed", "top", "bottom"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "crossings", Runs.of(self.crossings))
+        _require_exact(int, [n for _, n in self.crossings.runs], "run counts", DiagramError)
         arcs, closed = self.arcs, self.closed
         arc_ids = set(map(_ID, arcs))
         known = arc_ids.union(map(_ID, closed))
@@ -649,6 +668,7 @@ class BicoloredLink:
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "crossings", Runs.of(self.crossings))
+        _require_exact(int, [n for _, n in self.crossings.runs], "run counts", DiagramError)
         known = set(map(_ID, self.components))
         if len(known) != len(self.components):
             raise DiagramError("component ids must be unique")

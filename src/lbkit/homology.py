@@ -25,11 +25,15 @@ yields identical u and v; they are certified (u * m * v = d, u and v
 unimodular) but appear in no output.  d, u, v, the cokernel group and
 the matrices ``h1`` and ``boundary_h1`` read off a checked diagram are
 built by ``_built``, without re-checking what they hold by construction.
+``_built`` calls a builder generated once per record class, as dataclasses
+generate ``__init__``: it sets the record's whole field dict as one dict
+display, so a derived record reads its fields as fast as a constructed one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import gcd
 
@@ -59,12 +63,23 @@ def _require_exact(kind, values, what: str, error=ValueError, subject=None) -> N
 def _built(cls, *values):
     """A ``cls`` record of ``values`` in field order, without its constructor's
     checks: only for fields copied or computed exactly from checked records."""
-    names = cls.__dataclass_fields__
-    if len(values) != len(names):
-        raise TypeError(f"{cls.__name__} has {len(names)} fields, got {len(values)} values")
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(names, values))
-    return obj
+    try:
+        return _builder(cls)(*values)
+    except TypeError:  # the builder's one failure: a wrong number of values
+        n = len(cls.__dataclass_fields__)
+        raise TypeError(f"{cls.__name__} has {n} fields, got {len(values)} values") from None
+
+
+@cache
+def _builder(cls):
+    """``cls``'s builder, generated on first use as dataclasses generate
+    ``__init__``: it sets the new record's fields as one dict display."""
+    args = [f"_{k}" for k in range(len(cls.__dataclass_fields__))]
+    fields = ", ".join(map("{!r}: {}".format, cls.__dataclass_fields__, args))
+    scope = {"cls": cls, "new": object.__new__, "setattr": object.__setattr__}
+    exec(f"def build({', '.join(args)}):\n"
+         f" obj = new(cls)\n setattr(obj, '__dict__', {{{fields}}})\n return obj", scope)
+    return scope["build"]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ normalize.
 """
 
 from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import pytest
@@ -184,6 +186,50 @@ def test_builder_refuses_a_wrong_value_count():
             _built(TwoHandle, *values)
     with pytest.raises(TypeError, match="KirbyDiagram has 6 fields, got 5"):
         _built(KirbyDiagram, ("dot",), (), ((0,),), 0, 0)
+
+
+def test_builder_is_generated_once_per_class(monkeypatch):
+    # _built generates one builder per record class on first use; the record
+    # keeps an instance dict, so a cached property still caches on it
+    generated = []
+
+    def spy(source, scope):
+        generated.append(source)
+        exec(source, scope)
+
+    monkeypatch.setattr(homology, "exec", spy, raising=False)
+
+    @dataclass(frozen=True)
+    class Pair:
+        a: int
+        b: tuple
+
+        @cached_property
+        def total(self):
+            return self.a + sum(self.b)
+
+    first, second = _built(Pair, 1, (2,)), _built(Pair, 3, ())
+    assert len(generated) == 1
+    assert (first, second) == (Pair(1, (2,)), Pair(3, ()))
+    assert hash(first) == hash(Pair(1, (2,)))
+    assert first.total == 3 and vars(first) == {"a": 1, "b": (2,), "total": 3}
+    _built(TwoHandle, "x", 1, (2,))
+    generated.clear()
+    _built(TwoHandle, "y", 2, (0,))
+    assert generated == []
+
+
+def test_builder_arity_error_is_the_same_on_first_use():
+    @dataclass(frozen=True)
+    class Fresh:
+        a: int
+        b: int
+
+    with pytest.raises(TypeError, match=r"^Fresh has 2 fields, got 1 values$"):
+        _built(Fresh, 1)
+    assert _built(Fresh, 1, 2) == Fresh(1, 2)
+    with pytest.raises(TypeError, match=r"^TwoHandle has 3 fields, got 2 values$"):
+        _built(TwoHandle, "x", 1)
 
 
 def test_derived_values_past_the_checks_are_refused():

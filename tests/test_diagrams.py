@@ -180,6 +180,26 @@ class TestBraidWord:
     def test_permutation_of_family_word(self):
         assert FAMILY_WORD.permutation() == (2, 1, 4, 3)
 
+    def test_power_derives_what_the_expanded_word_walks(self, rng):
+        # a power's walk is read off the base word's one pass; the expanded
+        # word, walked letter by letter, is the reference
+        cases = [(BraidWord(3), 10 ** 18)]  # `() * 10**18` cannot be built
+        for _ in range(300):
+            strands = rng.randint(1, 8)
+            letters = tuple((rng.randint(1, strands - 1), rng.choice((1, -1)))
+                            for _ in range(rng.randint(0, 12) if strands > 1 else 0))
+            cases.append((BraidWord(strands, letters), rng.randint(0, 200)))
+        for w, m in cases:
+            p, ref = w.power(m), BraidWord(w.strands, w.letters * m if w.letters else ())
+            assert p.permutation() == ref.permutation()
+            assert p.cycles() == ref.cycles()
+            assert all(p._cycle_of(s) == ref._cycle_of(s) for s in range(1, w.strands + 1))
+            ks = range(len(ref.cycles()))
+            assert [p._self_writhe(k) for k in ks] == [ref._self_writhe(k) for k in ks]
+            assert all(p._linking(k, l) == ref._linking(k, l)
+                       for k in ks for l in ks if k != l)
+            assert p._closure == ref._closure  # zero sums included
+
     @given(braid_words(), st.integers(1, 4))
     def test_power_multiplies_letters_and_permutation(self, w, m):
         p = w.power(m)

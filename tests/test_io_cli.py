@@ -932,26 +932,43 @@ def test_closure_record_is_read_only_by_braid_words():
 
 
 def test_no_instance_dict_is_written_outside_built():
-    # a record's fields and caches are set by its own class, or by _built;
-    # so no library code names __dict__ (or calls vars()) anywhere else
-    package = os.path.dirname(lbkit.cli.__file__)
+    # a record's fields and caches are set by its own class, or by the builder
+    # _built generates; so no library code names __dict__ (as an attribute, or
+    # as a string outside that builder) or calls vars() anywhere else
     found, seen = [], []
-    for name in sorted(os.listdir(package)):
-        if name.endswith(".py"):
-            with open(os.path.join(package, name)) as f:
-                tree = ast.parse(f.read(), name)
-            for top in tree.body:
-                for node in ast.walk(top):
-                    if isinstance(node, ast.Attribute) and node.attr == "__dict__":
-                        if (name, getattr(top, "name", None)) == ("homology.py", "_built"):
-                            seen.append(node.lineno)
-                        else:
-                            found.append(f"{name}:{node.lineno}")
-                    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                          and node.func.id == "vars"):
-                        found.append(f"{name}:{node.lineno} calls vars()")
+    for name, site, part in library_sites():
+        for node in ast.walk(part):
+            if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+                if (name, site) != ("homology.py", "_built"):
+                    found.append(f"{name}:{node.lineno}")
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "__dict__" in node.value):
+                if (name, site) == ("homology.py", "_builder"):
+                    seen.append(node.lineno)
+                else:
+                    found.append(f"{name}:{node.lineno} names it in a string")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "vars"):
+                found.append(f"{name}:{node.lineno} calls vars()")
     assert found == []
-    assert seen  # _built still fills the fields through it
+    assert seen  # the generated builder still sets the fields through it
+
+
+def test_code_is_generated_only_by_the_record_builder():
+    # exec, eval and compile appear only where _built's builder is generated,
+    # from a dataclass's own field names
+    found, seen = [], []
+    for name, site, part in library_sites():
+        for node in ast.walk(part):
+            named = (getattr(node, "id", None) or getattr(node, "attr", None)
+                     or (node.name if isinstance(node, ast.alias) else None))
+            if named in ("exec", "eval", "compile"):
+                if (name, site) == ("homology.py", "_builder"):
+                    seen.append(named)
+                else:
+                    found.append(f"{name}:{node.lineno} names {named}")
+    assert found == []
+    assert seen == ["exec"]
 
 
 def test_every_library_definition_is_referenced():

@@ -4,9 +4,11 @@ Three kinds of check.  A model test holds ``Runs`` to the expanded tuple
 it stands for.  Positional references, written against ``tuple(...)`` of
 a word and taking one step per position, must agree with the per-run
 evaluators.  Memory bounds keep huge twist counts from allocating by
-position.
+position, and every public int parameter near 2**64 from allocating at
+all.  Run counts must be non-negative exact ints.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -17,8 +19,9 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import lbkit
 from lbkit.diagrams import (
-    BLUE, RED, BadSite, BicoloredLink, Crossing, LinkComponent, Runs,
+    BLUE, RED, BadSite, BicoloredLink, Crossing, DiagramError, LinkComponent, Runs,
     bicolored_linking, half_twist_tangle, reidemeister, reverse_mirror,
 )
 from lbkit.homology import AbelianGroup
@@ -174,6 +177,33 @@ class TestModel:
             r.runs = ()
         with pytest.raises(AttributeError):
             r.extra = 1
+
+
+class TestRunCounts:
+    def test_a_negative_count_is_refused_before_it_is_summed(self):
+        with pytest.raises(DiagramError, match="run counts must be non-negative, got -2"):
+            bicolored_linking(BicoloredLink(
+                (LinkComponent("r", RED), LinkComponent("b", BLUE)),
+                Runs((((Crossing("r", "b", 1),), -2),))))
+        with pytest.raises(DiagramError, match="got -3"):
+            Runs(((("a",), 3), (("a",), -3)))  # no zero-count run is kept either
+        assert Runs(((("a",), 3), (("a",), 0))).runs == ((("a",), 3),)
+
+    @pytest.mark.parametrize("count, kind", [(2.0, "float"), (True, "bool")])
+    def test_diagram_run_counts_must_be_exact_ints(self, count, kind):
+        runs = Runs((((Crossing("a", "b", 1),), count),))
+        with pytest.raises(DiagramError, match=f"run counts must be int, not {kind}"):
+            BicoloredLink((LinkComponent("a", RED), LinkComponent("b", BLUE)), runs)
+        with pytest.raises(DiagramError, match=f"run counts must be int, not {kind}"):
+            replace(half_twist_tangle(2), crossings=runs)
+
+    def test_counts_past_2_64_are_accepted(self):
+        pair = (Crossing("a", "b", 1), Crossing("b", "a", 1))
+        link = BicoloredLink((LinkComponent("a", RED), LinkComponent("b", BLUE)),
+                             Runs(((pair, 2 ** 70),)))
+        assert bicolored_linking(link) == 2 ** 70
+        t = replace(half_twist_tangle(2), crossings=Runs(((pair, 2 ** 64 + 1),)))
+        assert t.crossings == half_twist_tangle(2 ** 65 + 2).crossings
 
 
 # --------------------------------------------------------------------------
@@ -466,3 +496,97 @@ def test_library_bounds_and_run_paths_stay_small_in_memory():
     assert out["obstruction"][0] == 0  # ((0 - 2 * 10**9) / 2) mod 2
     for name, (_, peak) in out.items():
         assert peak < 1 << 20, (name, peak)
+
+
+# Every public callable of lbkit that takes an int parameter, called with
+# values near 2**64 in the same capped child: each answers within a few MB or
+# raises an lbkit error by name, never MemoryError, OverflowError or
+# RecursionError.  One cost is accepted and never called here: Runs.__hash__
+# hashes the expanded sequence, since equal sequences cut into different runs
+# must hash alike and no run-length form of a sequence is unique.
+HUGE_INT_PROBE = """
+import json, resource, tracemalloc
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap if hard < 0 else min(cap, hard), hard))
+from lbkit import *
+from lbkit.diagrams import BLUE, RED, LinkComponent
+from lbkit.obstruction import side_symmetry_holds
+
+N = 2 ** 64 + 1
+d = build_diagram(3, 2)
+cover = double_cover_diagram(d)
+caps = BicoloredLink((LinkComponent("r", RED), LinkComponent("b", BLUE)))
+CASES = {
+    "AbelianGroup": lambda: AbelianGroup(N).arity,
+    "AnnularComponent": lambda: AnnularComponent("u", frozenset(), None, N, 1, N).winding,
+    "BraidWord": lambda: BraidWord(N).strands,
+    "ClosedCaseData": lambda: closed_case_linking(ClosedCaseData(
+        model_slice(N, -N), caps, caps, N, -N, N, N)),
+    "CoverData": lambda: CoverData(d, N, cover.total, cover.component_map, cover.deck),
+    "Crossing": lambda: Crossing("a", "b", N),
+    "IntMatrix": lambda: cokernel(IntMatrix(0, N, ())),
+    "KirbyDiagram": lambda: euler_characteristic(KirbyDiagram(
+        d.dotted, d.two_handles, d.linking, N, N)),
+    "LinkCover": lambda: LinkCover(d.attaching, N, d.attaching, (), ()).degree,
+    "SphereEmbedding": lambda: sphere_square(SphereEmbedding(d, N, (1, 1, 0))),
+    "TwoHandle": lambda: h1(KirbyDiagram(("x",), (TwoHandle("h", N, (N,)),), ((0, N), (N, N)))),
+    "build_diagram": lambda: h1(build_diagram(N, -N)),
+    "classify": lambda: classify(N, -N).smoothly_isotopic,
+    "concordance_obstruction": lambda: concordance_obstruction(N, -N, True),
+    "connecting_homotopy": lambda: cycle_validate(connecting_homotopy(N, -N)),
+    "cyclic_cover_link": lambda: cyclic_cover_link(d.attaching, N),
+    "half_twist_tangle": lambda: half_twist_tangle(-N, (RED, BLUE)).crossings.runs,
+    "handle_slide": lambda: handle_slide(d, "lower", "dual", N),
+    "lift_wiring": lambda: lift_wiring(N),
+    "model_slice": lambda: side_symmetry_holds(model_slice(-N, N)),
+    "standard_sphere": lambda: sphere_tangle(standard_sphere(d, N)).crossings.runs,
+    "twist_homotopy": lambda: crossed_class(twist_homotopy(N)).is_zero,
+    # int parameters of methods: powers of a word, and of an empty word
+    "BraidWord.power": lambda: BraidWord(4, ((1, -1), (3, 1))).power(N),
+    "BraidWord.power (empty word)": lambda: BraidWord(3).power(N).cycles(),
+}
+
+def measured(call):
+    tracemalloc.reset_peak()
+    try:
+        call()
+        outcome = "answer"
+    except Exception as err:
+        outcome = f"{type(err).__module__}.{type(err).__name__}"
+    return [outcome, tracemalloc.get_traced_memory()[1]]
+
+tracemalloc.start()
+print(json.dumps({name: measured(call) for name, call in CASES.items()}))
+"""
+
+
+def int_taking_callables():
+    """Names of lbkit's public callables with a parameter annotated int."""
+    names = set()
+    for name in dir(lbkit):
+        obj = getattr(lbkit, name)
+        if name.startswith("_") or not callable(obj) or (
+                isinstance(obj, type) and issubclass(obj, Exception)):
+            continue
+        if any(p.annotation in ("int", int) for p in inspect.signature(obj).parameters.values()):
+            names.add(name)
+    return names
+
+
+def test_huge_ints_get_an_answer_or_a_named_error_across_the_api():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", HUGE_INT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    # a new public callable taking an int must get a case
+    assert int_taking_callables() == {name for name in out if "." not in name}
+    for name, (outcome, peak) in out.items():
+        assert outcome == "answer" or outcome.startswith("lbkit."), (name, outcome)
+        assert peak < 4 << 20, (name, peak)
+    refused = {name for name, (outcome, _) in out.items() if outcome != "answer"}
+    assert refused == {"CoverData", "Crossing", "cyclic_cover_link", "handle_slide",
+                       "BraidWord.power"}
