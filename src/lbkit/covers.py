@@ -102,12 +102,14 @@ class _Cover:
     def deck_of(self, cid: str) -> str:
         return self._row(self.deck, cid)[1]
 
+    def __post_init__(self):
+        """No checks here; ``CoverData`` overrides this with its own."""
+
 
 class LinkCover(_Cover):
     """A cyclic cover of an annular link."""
 
 
-@dataclass(frozen=True)
 class CoverData(_Cover):
     """A double cover at the handle-diagram level."""
 

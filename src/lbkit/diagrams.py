@@ -54,12 +54,13 @@ _OUT = "out"
 _ID = attrgetter("id")
 _SLOT_END = attrgetter("arc", "end")
 _BLOCK = itemgetter(0)
-# The most letters a braid word's power may have: refused past this before
-# the letters are built, since a power is stored letter by letter.
+# The most letters a braid word's power may have, and strands a braid word may
+# have: refused before a power's letters, or a word's per-strand pass, are built.
 MAX_POWER_LETTERS = 1 << 22
+MAX_STRANDS = 1 << 16
 
 __all__ = [
-    "RED", "BLUE", "PURPLE", "MAX_POWER_LETTERS",
+    "RED", "BLUE", "PURPLE", "MAX_POWER_LETTERS", "MAX_STRANDS",
     "DiagramError", "ColorMismatch", "OrientationMismatch", "BadSite",
     "BraidWord", "AnnularComponent", "AnnularLink",
     "Runs", "Strand", "Crossing", "Slot", "ColoredTangle",
@@ -114,17 +115,32 @@ class Runs:
     def of(items) -> "Runs":  # items itself, or one run of it
         return items if type(items) is Runs else Runs(((tuple(items), 1),))
 
+    @staticmethod
+    def _direct(runs: tuple, size: int) -> "Runs":  # runs already merged: no re-check
+        out = object.__new__(Runs)
+        out._runs, out._len = runs, size
+        return out
+
     def items(self):
         """Every item, once per run instead of once per position."""
         runs = self._runs
         return runs[0][0] if len(runs) == 1 else chain.from_iterable(map(_BLOCK, runs))
 
     def map(self, image) -> "Runs":
-        """Map each block once; an item that several runs hold is mapped once."""
-        if len(self._runs) == 1:
-            return Runs(((tuple(map(image, self._runs[0][0])), self._runs[0][1]),))
-        memo = {x: image(x) for x in dict.fromkeys(self.items())}
-        return Runs([(tuple(map(memo.__getitem__, b)), n) for b, n in self._runs])
+        """Each block's image, ``image`` called once per distinct item; built
+        directly, merging only neighbours whose images are equal, as ``__init__`` would."""
+        memo, kept = {}, []
+        for block, count in self._runs:
+            images = []
+            for x in block:
+                if (y := memo.get(x, memo)) is memo:  # memo itself marks an item not mapped yet
+                    y = memo[x] = image(x)
+                images.append(y)
+            block = tuple(images)
+            if kept and kept[-1][0] == block:
+                block, count = kept[-1][0], kept.pop()[1] + count
+            kept.append((block, count))
+        return Runs._direct(tuple(kept), self._len)
 
     def __len__(self):
         return self._len
@@ -180,13 +196,14 @@ class Runs:
         return hash(tuple(self))
 
     def __add__(self, other):
-        if not isinstance(other, (Runs, tuple)):
-            return NotImplemented
-        other = Runs.of(other)
+        if type(other) is not Runs:
+            if not isinstance(other, (Runs, tuple)):
+                return NotImplemented
+            other = Runs.of(other)
         a, b = self._runs, other._runs
         if a and b and a[-1][0] == b[0][0]:  # both merged already: only the junction can
             a, b = a[:-1], ((a[-1][0], a[-1][1] + b[0][1]),) + b[1:]
-        out = object.__new__(Runs)
+        out = object.__new__(Runs)  # inline: a call here costs concat's doubling 6%
         out._runs, out._len = a + b, self._len + other._len
         return out
 
@@ -217,8 +234,9 @@ class BraidWord:
 
     def __post_init__(self):
         _require_exact(int, (self.strands,), "braid strands", DiagramError)
-        if self.strands < 1:
-            raise DiagramError("a braid word needs at least one strand")
+        if not 1 <= self.strands <= MAX_STRANDS:
+            raise DiagramError(f"a braid word may have at most {MAX_STRANDS} strands (MAX_STRANDS)"
+                               if self.strands > 0 else "a braid word needs at least one strand")
         letters = tuple(map(tuple, self.letters))
         object.__setattr__(self, "letters", letters)
         _require_exact(int, chain.from_iterable(letters), "braid letters", DiagramError)
@@ -592,9 +610,9 @@ def half_twist_tangle(n: int, colors=(None, None)) -> ColoredTangle:
             else (Strand("a", ca), Strand("b", cb)))
     pair = _POSITIVE_PAIR if n > 0 else _NEGATIVE_PAIR
     k = abs(n)
+    runs = ((pair, k // 2),) * (k > 1) + ((pair[:1], 1),) * (k % 2)  # unequal blocks: none merge
     # checked arcs, crossings and walls on the arcs' ids, n exact: nothing to re-check
-    return _built(ColoredTangle, arcs, (), Runs(((pair, k // 2), (pair[:1], k % 2))),
-                  _TWIST_TOP, _TWIST_BOTTOM[n % 2])
+    return _built(ColoredTangle, arcs, (), Runs._direct(runs, k), _TWIST_TOP, _TWIST_BOTTOM[n % 2])
 
 
 def _flip(c: Crossing) -> Crossing:

@@ -46,7 +46,10 @@ __all__ = [
     "h1",
     "boundary_h1",
     "torsion_order2",
+    "MAX_TWO_TORSION",
 ]
+
+MAX_TWO_TORSION = 1 << 16  # the most elements of order at most 2 a group lists
 
 
 def _require_exact(kind, values, what: str, error=ValueError, subject=None) -> None:
@@ -321,16 +324,15 @@ class AbelianGroup:
         return n
 
     def elements_of_order_two(self) -> tuple[tuple[int, ...], ...]:
-        """All elements of order exactly 2, in lexicographic order."""
-        choices = []
-        for d in self.invariant_factors:
-            choices.append((0, d // 2) if d % 2 == 0 else (0,))
+        """All elements of order exactly 2, in lexicographic order; refused
+        before they are built when 2**k (k even factors) passes MAX_TWO_TORSION."""
+        choices = [(0, d // 2) if d % 2 == 0 else (0,) for d in self.invariant_factors]
+        k = sum(d % 2 == 0 for d in self.invariant_factors)
+        if 1 << k > MAX_TWO_TORSION:
+            raise ValueError(f"a group with {k} even invariant factors has 2**{k} elements of "
+                             f"order at most 2, past {MAX_TWO_TORSION} (MAX_TWO_TORSION)")
         tail = (0,) * self.free_rank
-        out = []
-        for combo in product(*choices):
-            if any(combo):
-                out.append(combo + tail)
-        return tuple(sorted(out))
+        return tuple(sorted(combo + tail for combo in product(*choices) if any(combo)))
 
 
 def cokernel(m: IntMatrix) -> AbelianGroup:

@@ -151,8 +151,9 @@ def twist_homotopy(n: int) -> HomotopyTrace:
 
 def concat(a: HomotopyTrace, b: HomotopyTrace) -> HomotopyTrace:
     """Run one homotopy after the other."""
-    _require_trace(a)
-    _require_trace(b)
+    if not (type(a) is type(b) is HomotopyTrace):
+        _require_trace(a)
+        _require_trace(b)
     if a.group is not b.group and a.group != b.group:
         raise GroupMismatch("traces live over different groups")
     # the runs of two checked traces, joined: nothing to re-check
@@ -186,9 +187,17 @@ def cycle_validate(t: HomotopyTrace) -> bool:
     Whitney moves, and crossed cycles carry order <= 2 elements (each
     distinct element is checked once, in order of first appearance)."""
     _require_trace(t)
-    if sum(n * c.minima for b, n in t.cycles.runs for c in b) != 2 * t.finger_count:
-        return False
-    if sum(n * c.maxima for b, n in t.cycles.runs for c in b) != 2 * t.whitney_count:
+    fingers = whitneys = minima = maxima = 0  # counted in one pass each over moves and cycles
+    for block, n in t.moves.runs:
+        for move in block:
+            if isinstance(move, FingerMove):
+                fingers += n
+            elif isinstance(move, WhitneyMove):
+                whitneys += n
+    for block, n in t.cycles.runs:
+        for c in block:
+            minima, maxima = minima + n * c.minima, maxima + n * c.maxima
+    if minima != 2 * fingers or maxima != 2 * whitneys:
         return False
     for element in dict.fromkeys(c.element for c in t.cycles.items() if c.crossed):
         order = t.group.order(element)

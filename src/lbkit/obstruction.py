@@ -20,7 +20,8 @@ works out to half the twist difference, which is where the mod-4
 classification comes from.  A model slice, its twist tangles and their
 reverse mirror are built unchecked (``_built``) from checked parts: the
 shared arcs, crossings, walls and trivial sides; the merged link stays
-checked, so the global count does not rest on them.
+checked, so the global count does not rest on them.  Both ends come from
+``_twist_end``, at most 2,048 tangles by count, typed so ``True`` misses ``1``.
 
 The closed-manifold variant adds two cap links and their per-color
 winding numbers; symmetry of the caps and of the sides keeps every
@@ -30,6 +31,7 @@ added term even, so the parity is unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .diagrams import (
     BLUE,
@@ -142,6 +144,12 @@ _TRIVIAL_RED = trivial_side(RED)
 _TRIVIAL_BLUE = trivial_side(BLUE)
 
 
+@lru_cache(maxsize=2048, typed=True)  # typed: True and 1.0 miss 1's entry, and are refused
+def _twist_end(n: int, outer: bool) -> ColoredTangle:
+    """A model slice's twist-n end: the inner tangle, or (outer) its reverse mirror."""
+    return reverse_mirror(_twist_end(n, False)) if outer else half_twist_tangle(n, (RED, BLUE))
+
+
 def clasped_side(color: str, clasps: int = 0,
                  plain_extras: int = 0) -> ColoredTangle:
     """A through-arc clasped ``clasps`` times with one closed component of
@@ -176,11 +184,11 @@ def model_slice(i: int, j: int) -> ConcordanceSlice:
     Inner tangle: the lifted ball tangle of the first sphere.  Outer:
     the reverse mirror of the second sphere's, as the far end of a
     product region presents it.  Sides: trivial, symmetric under the
-    color exchange.
+    color exchange.  Both ends come from the ``_twist_end`` memo.
     """
+    _require_exact(int, (i, j), "twist count", DiagramError)  # a list is no memo key
     # one red and one blue arc at each end, one arc of its color per side
-    return _built(ConcordanceSlice, half_twist_tangle(i, (RED, BLUE)),
-                  reverse_mirror(half_twist_tangle(j, (RED, BLUE))),
+    return _built(ConcordanceSlice, _twist_end(i, False), _twist_end(j, True),
                   _TRIVIAL_RED, _TRIVIAL_BLUE, _TRIVIAL_RED, _TRIVIAL_BLUE)
 
 
@@ -220,12 +228,13 @@ def _merge_regions(regions) -> BicoloredLink:
     for label, tangle in regions:
         rename = {arc.id: arc.color for arc in tangle.arcs}
         present.update(rename.values())
+        if not (tangle.closed or tangle.crossings.runs):
+            continue  # arcs alone: only their colors enter
         for s in tangle.closed:
             new = rename[s.id] = f"{label}.{s.id}"
             closed.append(LinkComponent(new, s.color))
-        if tangle.crossings.runs:
-            runs += tangle.crossings.map(
-                lambda c: Crossing(rename[c.over], rename[c.under], c.sign)).runs
+        runs += tangle.crossings.map(
+            lambda c: Crossing(rename[c.over], rename[c.under], c.sign)).runs
     colors = [_FUSED[color] for color in (RED, BLUE) if color in present]
     return BicoloredLink(tuple(colors + closed), Runs(runs))
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, is_dataclass, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -502,3 +503,16 @@ class TestDoubleCoverMatchesReference:
             with pytest.raises(DiagramError) as err:
                 check(*parts)
             assert str(err.value) == message
+
+    def test_cover_data_checks_through_the_base_record(self):
+        # CoverData overrides _Cover's no-op __post_init__ and is not decorated
+        # again: the base's generated methods build, compare and print it
+        assert "__dataclass_fields__" not in vars(CoverData) and is_dataclass(CoverData)
+        cov = double_cover_diagram(build_diagram(2, -1))
+        again = CoverData(cov.base, 2, cov.total, cov.component_map, cov.deck)
+        assert again == cov and hash(again) == hash(cov)
+        assert repr(again).startswith("CoverData(base=KirbyDiagram(")
+        with pytest.raises(DiagramError, match="for degree 2"):
+            replace(cov, degree=3)
+        with pytest.raises(FrozenInstanceError):
+            again.degree = 3

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lbkit.diagrams import (
-    RED, BLUE, PURPLE, MAX_POWER_LETTERS,
+    RED, BLUE, PURPLE, MAX_POWER_LETTERS, MAX_STRANDS,
     DiagramError, ColorMismatch, OrientationMismatch, BadSite,
     BraidWord, AnnularComponent, AnnularLink,
     Runs, Strand, Crossing, Slot, ColoredTangle, LinkComponent, BicoloredLink,
@@ -148,6 +148,13 @@ class TestBraidWord:
             with pytest.raises(DiagramError, match="at most .* letters .MAX_POWER_LETTERS"):
                 w.power(m)
         assert BraidWord(3).power(2 ** 70) == BraidWord(3)
+
+    def test_strand_count_is_refused_past_its_bound(self):
+        # a word's pass and closure keep an entry per strand
+        assert len(BraidWord(MAX_STRANDS).cycles()) == MAX_STRANDS
+        for n in (MAX_STRANDS + 1, 10 ** 9, 2 ** 64 + 1):
+            with pytest.raises(DiagramError, match="at most 65536 strands .MAX_STRANDS"):
+                BraidWord(n)
 
     def test_cover_counts_split_lifts_against_the_letter_bound(self, monkeypatch):
         # m lifts per split component: m * (letters + split) is bounded

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lbkit.homology import (
     IntMatrix, AbelianGroup, smith_normal_form, invariant_factors,
-    cokernel, h1, boundary_h1, torsion_order2,
+    cokernel, h1, boundary_h1, torsion_order2, MAX_TWO_TORSION,
 )
 from lbkit.kirby import build_diagram, double
 
@@ -219,6 +219,20 @@ class TestAbelianGroup:
         assert torsion_order2(AbelianGroup(0, (3,))) == frozenset()
         assert torsion_order2(AbelianGroup(0, (2, 4))) == \
             frozenset({(1, 0), (0, 2), (1, 2)})
+
+    def test_order_two_listing_is_bounded_by_the_even_factors(self):
+        # 2**16 elements of order at most 2 are listed; 2**17 are refused,
+        # however many odd factors or free rank come along
+        assert MAX_TWO_TORSION == 1 << 16
+        assert len(AbelianGroup(0, (2,) * 16).elements_of_order_two()) == (1 << 16) - 1
+        assert len(AbelianGroup(3, (3,) * 20 + (6,) * 16).elements_of_order_two()) \
+            == (1 << 16) - 1
+        for group in (AbelianGroup(0, (2,) * 17), AbelianGroup(2, (2,) * 5 + (4,) * 40)):
+            with pytest.raises(ValueError, match=r"has 2\*\*\d+ elements of order at most "
+                               r"2, past 65536 \(MAX_TWO_TORSION\)"):
+                group.elements_of_order_two()
+            with pytest.raises(ValueError, match="MAX_TWO_TORSION"):
+                torsion_order2(group)
 
 
 class TestDiagramHomology:

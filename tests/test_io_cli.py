@@ -20,8 +20,8 @@ from lbkit.cli import (
 )
 from lbkit.covers import cyclic_cover_link, double_cover_diagram
 from lbkit.diagrams import (
-    BLUE, PURPLE, RED, AnnularComponent, BicoloredLink, BraidWord, DiagramError,
-    braid_closure, braid_closure_link, close_tangle, empty_tangle,
+    BLUE, MAX_STRANDS, PURPLE, RED, AnnularComponent, BicoloredLink, BraidWord,
+    DiagramError, braid_closure, braid_closure_link, close_tangle, empty_tangle,
     half_twist_tangle, normalize_to_writhe,
 )
 from lbkit.homology import AbelianGroup
@@ -789,9 +789,12 @@ class TestBoundaryFuzz:
             load_diagram(text)
 
     def test_strand_count_beyond_the_entries_is_refused_before_cycles(self):
-        obj = annular_to_obj(build_diagram(3, 2).attaching)
-        obj["strands"] = 10 ** 12
-        with pytest.raises(FormatError, match="at least 999999999998 closure"):
+        obj = annular_to_obj(build_diagram(3, 2).attaching)  # 4 strands, 2 letters
+        obj["strands"] = MAX_STRANDS
+        with pytest.raises(FormatError, match=f"at least {MAX_STRANDS - 2} closure"):
+            load_diagram(json.dumps(obj))
+        obj["strands"] = 10 ** 12  # past MAX_STRANDS: refused as the word is built
+        with pytest.raises(DiagramError, match="at most 65536 strands .MAX_STRANDS"):
             load_diagram(json.dumps(obj))
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lbkit
+from lbkit.cli import MAX_TABLE_TWIST
 from lbkit.diagrams import (
     RED, BLUE, PURPLE, BicoloredLink, ColorMismatch, ColoredTangle, Crossing,
     DiagramError, LinkComponent, Runs, Slot, Strand,
@@ -15,7 +16,7 @@ from lbkit.diagrams import (
 )
 from lbkit.homotopy import classify
 from lbkit.obstruction import (
-    ClosedCaseData, ConcordanceSlice, NotHomotopic, _merge_regions,
+    ClosedCaseData, ConcordanceSlice, NotHomotopic, _merge_regions, _twist_end,
     assemble_link, cap_link, cap_symmetry_holds, clasped_side,
     closed_case_linking, closed_model_data, closure_of_side,
     concordance_obstruction, model_slice, side_linking,
@@ -538,3 +539,33 @@ class TestObstruction:
                            red_winding_plus=w, red_winding_minus=w)
         assert cap_symmetry_holds(d)
         assert closed_case_linking(d) % 2 == concordance_obstruction(i, 0)
+
+
+class TestTwistEndMemo:
+    """model_slice takes both ends from one typed, bounded memo by twist count."""
+
+    @pytest.mark.parametrize("bad", (True, 1.0, 2.0, 3.0, [1], {}))
+    def test_cached_counts_still_refuse_equal_non_ints(self, bad):
+        model_slice(1, 3), model_slice(2, 0)  # 1, 2 and 3 are cached as ints
+        for args in ((bad, 3), (1, bad)):
+            with pytest.raises(DiagramError, match="twist count must be int"):
+                model_slice(*args)
+        if not isinstance(bad, (list, dict)):  # typed: an equal key misses the int's entry
+            for outer in (False, True):
+                with pytest.raises(DiagramError, match="twist count must be int"):
+                    _twist_end(bad, outer)
+
+    def test_repeated_ends_are_the_same_object(self):
+        a, b = model_slice(5, 7), model_slice(5, -3)
+        assert a.inner is b.inner and a.outer is model_slice(-1, 7).outer
+        assert model_slice(7, 5).inner is not a.outer  # each end keeps its own tangle
+
+    def test_ends_equal_the_tangles_they_stand_for(self):
+        for i in range(-8, 9):  # the criterion-08 grid
+            for j in range(-8, 9):
+                s = model_slice(i, j)
+                assert s.inner == half_twist_tangle(i, (RED, BLUE))
+                assert s.outer == reverse_mirror(half_twist_tangle(j, (RED, BLUE)))
+
+    def test_memo_holds_both_ends_of_the_largest_table(self):
+        assert _twist_end.cache_info().maxsize >= 2 * (2 * MAX_TABLE_TWIST + 1)

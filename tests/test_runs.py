@@ -8,6 +8,7 @@ position, and every public int parameter near 2**64 from allocating at
 all.  Run counts must be non-negative exact ints.
 """
 
+import ast
 import inspect
 import json
 import os
@@ -120,6 +121,23 @@ class TestModel:
             assert type(joined) is Runs and joined.runs == want.runs
             size = sum(len(block) * n for block, n in want.runs)
             assert joined._len == want._len == size
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(blocks, counts), max_size=5),
+           st.dictionaries(st.sampled_from("abc"), st.sampled_from("xy")))
+    def test_map_builds_the_runs_of_the_images(self, a, table):
+        # few images for three items: neighbouring blocks often map to equal ones
+        r, calls = Runs(a), []
+
+        def image(x):
+            calls.append(x)
+            return table.get(x, x)
+
+        mapped = r.map(image)
+        want = Runs([(tuple(table.get(x, x) for x in b), n) for b, n in r.runs])
+        assert type(mapped) is Runs and mapped.runs == want.runs
+        assert mapped._len == want._len == r._len  # len() caps at sys.maxsize
+        assert sorted(calls) == sorted(set(r.items()))  # once per distinct item
 
     def test_replaced_past_sys_maxsize_writes_out_only_the_touched_copies(self):
         r = Runs(((("a", "b", "c"), 2 ** 64), (("d",), 1)))
@@ -419,7 +437,9 @@ def test_huge_twist_counts_stay_small_in_memory():
 # a power past MAX_POWER_LETTERS is refused before its letters are built, and
 # a cover past it in letters and split lifts before its lifts are built; R3
 # permutes three positions of a word past sys.maxsize by its runs, and the
-# obstruction's terms neither hash nor expand a word.
+# obstruction's terms neither hash nor expand a word.  A braid word past
+# MAX_STRANDS is refused as it is built, and a group's order-2 elements past
+# MAX_TWO_TORSION before they are listed.
 BOUNDS_PROBE = """
 import json, resource, tracemalloc
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
@@ -430,6 +450,8 @@ from lbkit.diagrams import (
     BLUE, RED, AnnularComponent, AnnularLink, BicoloredLink, BraidWord, Crossing,
     LinkComponent, Runs, bicolored_linking, half_twist_tangle, reidemeister,
     reverse_mirror)
+from lbkit.homology import AbelianGroup
+from lbkit.homotopy import crossed_class, empty_trace
 from lbkit.kirby import build_diagram
 from lbkit.obstruction import (
     ConcordanceSlice, clasped_side, concordance_obstruction, side_symmetry_holds,
@@ -471,6 +493,10 @@ print(json.dumps({
     "slice_linking": measured(lambda: slice_linking(s)),
     "side_symmetry": measured(lambda: side_symmetry_holds(s)),
     "obstruction": measured(lambda: concordance_obstruction(0, 2 * 10 ** 9, True)),
+    "huge_strands": measured(lambda: BraidWord(2 ** 64 + 1).cycles()),
+    "many_strands": measured(lambda: BraidWord(10 ** 9).power(2)),
+    "order_two": measured(lambda: AbelianGroup(0, (2,) * 30).elements_of_order_two()),
+    "crossed_class": measured(lambda: crossed_class(empty_trace(AbelianGroup(0, (2,) * 24)))),
 }))
 """
 
@@ -494,6 +520,12 @@ def test_library_bounds_and_run_paths_stay_small_in_memory():
     assert out["slice_linking"][0] == 2 ** 64 + 1
     assert out["side_symmetry"][0] is True
     assert out["obstruction"][0] == 0  # ((0 - 2 * 10**9) / 2) mod 2
+    strands = ["DiagramError", f"a braid word may have at most {1 << 16} strands (MAX_STRANDS)"]
+    assert out["huge_strands"][0] == out["many_strands"][0] == strands
+    for name, k in (("order_two", 30), ("crossed_class", 24)):
+        assert out[name][0] == ["ValueError", f"a group with {k} even invariant factors has "
+                                f"2**{k} elements of order at most 2, past {1 << 16} "
+                                "(MAX_TWO_TORSION)"]
     for name, (_, peak) in out.items():
         assert peak < 1 << 20, (name, peak)
 
@@ -574,6 +606,26 @@ def int_taking_callables():
     return names
 
 
+def test_runs_are_built_unchecked_only_inside_their_class():
+    # object.__new__(Runs) skips Runs.__init__'s merging and count checks, so
+    # only Runs's own methods may call it; everyone else builds through them
+    package = os.path.dirname(lbkit.__file__)
+    found, seen = [], []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as f:
+            tree = ast.parse(f.read(), name)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__"
+                        and [ast.unparse(arg) for arg in node.args] == ["Runs"]):
+                    inside = isinstance(top, ast.ClassDef) and top.name == "Runs"
+                    (seen if inside and name == "diagrams.py" else found).append(
+                        f"{name}:{node.lineno}")
+    assert found == [] and seen
+
+
 def test_huge_ints_get_an_answer_or_a_named_error_across_the_api():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -588,5 +640,5 @@ def test_huge_ints_get_an_answer_or_a_named_error_across_the_api():
         assert outcome == "answer" or outcome.startswith("lbkit."), (name, outcome)
         assert peak < 4 << 20, (name, peak)
     refused = {name for name, (outcome, _) in out.items() if outcome != "answer"}
-    assert refused == {"CoverData", "Crossing", "cyclic_cover_link", "handle_slide",
-                       "BraidWord.power"}
+    assert refused == {"BraidWord", "CoverData", "Crossing", "cyclic_cover_link",
+                       "handle_slide", "BraidWord.power"}  # BraidWord: past MAX_STRANDS
