@@ -5,7 +5,10 @@ for ``table``, plain text/SVG for ``render``).  Domain errors print an
 ``{"error": ...}`` object and exit 1, as do values past the ``MAX_*``
 bounds below and a failed ``--out`` write; usage errors exit 2 via
 argparse.  Each call uses the parser of its own verb only, built once
-per process.
+per process.  It reads the common forms itself: ``--name=value``, ``--name
+value`` with a value not starting with ``-``, and an exact flag.  All else
+(``-h``, unknown or abbreviated options, positionals, a missing option, a
+failed type or choice, a flag with ``=``) goes through argparse unchanged.
 
 Verbs that consume a diagram accept either a JSON file (``-`` for
 stdin) or ``--p``/``--q`` to build the standard family diagram inline.
@@ -279,6 +282,48 @@ _VERBS = {
 }
 
 
+class _VerbParser(argparse.ArgumentParser):
+    """A verb's parser; ``read`` parses the common forms by its own actions."""
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.added = (*getattr(self, "added", ()), action)  # -h first
+        return action
+
+    @functools.cached_property
+    def table(self):
+        """(option -> store or flag action, defaults, required dests); not -h."""
+        added = self.added
+        return ({s: a for a in added for s in a.option_strings
+                 if a.nargs is None or a.nargs == 0 and a.const is not None},
+                {a.dest: a.default for a in added if a.default is not argparse.SUPPRESS}
+                | {"func": self.get_default("func"), "parser": self},
+                {a.dest for a in added if a.required})
+
+    def read(self, argv, verb):
+        """``parse_known_args``'s result if ``argv`` is all common forms, else None."""
+        options, defaults, required = self.table
+        values, rest = {}, iter(argv)
+        for arg in rest:
+            name, eq, value = arg.partition("=")
+            if (action := options.get(name)) is None or action.nargs == 0 and eq:
+                return None
+            if action.nargs == 0:
+                value = action.const
+            elif not eq and (value := next(rest, "-")).startswith("-"):
+                return None
+            else:
+                try:
+                    value = (action.type or str)(value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+                if action.choices is not None and value not in action.choices:
+                    return None
+            values[action.dest] = value
+        return ((argparse.Namespace(verb=verb, **defaults | values), [])
+                if required <= values.keys() else None)
+
+
 @functools.cache
 def _build_parser(verb=None) -> argparse.ArgumentParser:
     """The parser with every verb, or with ``verb`` alone when given (and
@@ -287,7 +332,8 @@ def _build_parser(verb=None) -> argparse.ArgumentParser:
         prog="lbkit",
         description="Handle diagrams, covers, and the twisted-sphere "
                     "classifier.")
-    sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
+    sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB",
+                                parser_class=_VerbParser)
     for name in _VERBS if verb is None else (verb,):
         handler, help_text, add_arguments = _VERBS[name]
         sp = sub.add_parser(name, help=help_text)
@@ -308,7 +354,8 @@ def _parse(argv) -> argparse.Namespace:
     if verb is not None:
         # A full parse hands all after the verb to the verb's own parser;
         # call it directly, and in full only to report unknown arguments.
-        args, extra = parser.get_default("parser").parse_known_args(
+        sp = parser.get_default("parser")
+        args, extra = sp.read(argv[1:], verb) or sp.parse_known_args(
             argv[1:], argparse.Namespace(verb=verb))
         if not extra:
             return args

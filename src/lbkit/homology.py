@@ -94,6 +94,7 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _require_exact(int, (self.rows, self.cols), "matrix dimensions")
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
         if len(self.entries) != self.rows:
@@ -114,6 +115,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
+        _require_exact(int, (n,), "matrix dimensions")
         return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
@@ -231,6 +233,11 @@ def _eliminate(a, nrows, ncols):
     return a
 
 
+def _require_matrix(m) -> None:
+    if not isinstance(m, IntMatrix):
+        raise ValueError(f"expected an IntMatrix, not {type(m).__name__}")
+
+
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (d, u, v) with u * m * v = d in Smith normal form.
 
@@ -238,6 +245,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     entry divides the next.  They are read off one elimination of
     [[m, I], [I, 0]].
     """
+    _require_matrix(m)
     r, c = m.rows, m.cols
     a = [list(row) + [int(i == k) for k in range(r)] for i, row in enumerate(m.entries)]
     a += [[int(i == k) for k in range(c)] + [0] * r for i in range(c)]
@@ -254,6 +262,7 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
 
     The same elimination as ``smith_normal_form``, without the border.
     """
+    _require_matrix(m)
     a = [list(row) for row in m.entries]
     _eliminate(a, m.rows, m.cols)
     out = []
@@ -336,7 +345,8 @@ class AbelianGroup:
 
 
 def cokernel(m: IntMatrix) -> AbelianGroup:
-    """Cokernel of the map Z^cols -> Z^rows given by the matrix."""
+    """Cokernel of the map Z^cols -> Z^rows given by the matrix; like
+    ``invariant_factors``, it refuses anything but an ``IntMatrix``."""
     diag = invariant_factors(m)
     return _built(AbelianGroup, m.rows - len(diag), tuple(d for d in diag if d > 1))
 

@@ -131,7 +131,17 @@ def _require_trace(t) -> None:
 
 _Z2 = AbelianGroup(0, (2,))
 _NO_STEPS = empty_trace(_Z2)
-_order_two = lru_cache(maxsize=64)(AbelianGroup.elements_of_order_two)
+_cached_order_two = lru_cache(maxsize=64)(AbelianGroup.elements_of_order_two)
+
+
+def _order_two(group: AbelianGroup) -> tuple[tuple[int, ...], ...]:
+    """The group's order-2 elements, memoized only when 2**factors * arity,
+    which bounds the listing's coordinates, is at most 2**16: so at most
+    2**12 elements and about 0.6 MB an entry.  Larger groups are listed per
+    call (one (2,) * 16 listing holds 11 MB)."""
+    if group.arity << len(group.invariant_factors) > 1 << 16:
+        return group.elements_of_order_two()
+    return _cached_order_two(group)
 _STEP = HomotopyTrace(_Z2, (FingerMove((1,)), WhitneyMove((1,))),
                       (Cycle(True, (1,), 2, 2),))
 

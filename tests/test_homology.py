@@ -141,6 +141,23 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, bad]])
 
+    @pytest.mark.parametrize("rows, cols", [(True, True), (1, 1.0), ("1", 1),
+                                            (1, None), (1.0, 1)])
+    def test_refuses_non_int_dimensions(self, rows, cols):
+        with pytest.raises(ValueError, match="matrix dimensions must be int"):
+            IntMatrix(rows, cols, ((1,),))
+
+    @pytest.mark.parametrize("n", [True, 1.0, "1", None])
+    def test_identity_refuses_non_int_size(self, n):
+        with pytest.raises(ValueError, match="matrix dimensions must be int"):
+            IntMatrix.identity(n)
+
+    @pytest.mark.parametrize("call", [invariant_factors, cokernel, smith_normal_form])
+    @pytest.mark.parametrize("bad", [[[1]], ((1,),), None, AbelianGroup(0)])
+    def test_entry_points_refuse_what_is_not_a_matrix(self, call, bad):
+        with pytest.raises(ValueError, match=f"^expected an IntMatrix, not {type(bad).__name__}$"):
+            call(bad)
+
     def test_list_rows_are_stored_as_tuples(self):
         listed, plain = IntMatrix(1, 2, ([1, 2],)), IntMatrix(1, 2, ((1, 2),))
         assert listed == plain and hash(listed) == hash(plain)

@@ -250,6 +250,18 @@ class TestCrossedClass:
         # reduce folds representatives into the canonical range
         assert c.of((-2,)) == 1
 
+    def test_large_order_two_listings_are_not_memoized(self):
+        memo = homotopy._cached_order_two
+        for group, memoized in ((AbelianGroup(0, (2,) * 12), True),
+                                (AbelianGroup(0, (2,) * 13), False),
+                                (AbelianGroup(1 << 16, (2,)), False)):
+            memo.cache_clear()
+            c = crossed_class(empty_trace(group))
+            assert memo.cache_info().currsize == memoized, group
+            assert c == reference_class(empty_trace(group))
+            assert c.is_zero and len(c.parities) == len(group.elements_of_order_two())
+        memo.cache_clear()
+
 
 class TestLightbulb:
     @given(st.integers(0, 8))

@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from enum import IntEnum
 
@@ -974,6 +974,32 @@ def test_code_is_generated_only_by_the_record_builder():
     assert seen == ["exec"]
 
 
+ARGPARSE_PRIVATE = {"_actions", "_defaults", "_option_string_actions"}
+
+
+def test_library_uses_no_private_argparse_name():
+    # argparse's private names differ across the supported Python versions
+    # (requires-python >= 3.10), so the library reads only its public API
+    found, seen = [], []
+    for name, site, part in library_sites():
+        for node in ast.walk(part):
+            if isinstance(node, ast.Attribute) and (
+                    node.attr in ARGPARSE_PRIVATE
+                    or (isinstance(node.value, ast.Name) and node.value.id == "argparse"
+                        and node.attr.startswith("_"))):
+                found.append(f"{name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "argparse":
+                found += [f"{name}:{node.lineno} {a.name}" for a in node.names
+                          if a.name.startswith("_")]
+            elif isinstance(node, ast.Constant) and node.value in ARGPARSE_PRIVATE:
+                found.append(f"{name}:{node.lineno} {node.value!r}")
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "argparse":
+                seen.append(name)
+    assert found == []
+    assert "cli.py" in seen
+
+
 def test_every_library_definition_is_referenced():
     # a def or class nothing names is dead; strings do not count, since a
     # JSON key such as "zero" would hide an unused method of that name
@@ -1062,6 +1088,23 @@ MIXED_SEQUENCE = [
 ]
 
 
+# One argv per verb in the forms the verb parser reads without argparse:
+# --name=value, --name value (value not starting with -) and exact flags.
+COMMON_FORMS = [
+    ["build", "--p=3", "--q", "2"],
+    ["homology", "--q=1", "--p=1"],
+    ["boundary", "--p=1", "--q=0", "--out", "x.json"],
+    ["cover", "--p=3", "--q=2", "--degree", "4"],
+    ["double", "--p", "1", "--q=-1"],
+    ["slide", "--p=1", "--q=5", "--a=lower", "--b", "dual", "--eps=-1"],
+    ["classify", "--i", "3", "--j=5", "--closed", "--closed"],
+    ["table", "--closed", "--range", "0:2"],
+    ["obstruct", "--i=2", "--j=0", "--closed"],
+    ["homotopy-class", "--i=0", "--j=6", "--i=4"],
+    ["render", "--p=0", "--q=0", "--format", "svg"],
+]
+
+
 class TestOneVerbParser:
     """main builds only the subparser of the verb it runs; what the user
     sees must be what the full parser gives."""
@@ -1104,6 +1147,7 @@ class TestOneVerbParser:
          "--eps", "-1"],
         ["render", "-", "--format=svg"],
         ["homology", "--p", "1", "--q", "1"],
+        *COMMON_FORMS,
     ])
     def test_verb_parser_gives_the_full_parse_namespace(self, argv):
         assert lbkit.cli._parse(argv) == \
@@ -1174,6 +1218,136 @@ class TestOneVerbParser:
                                   input=stdin or "", capture_output=True,
                                   text=True)
             assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+def _verb_options(verb):
+    """(option string, is a flag) of each option of the verb, -h aside."""
+    return [(s, a.nargs == 0)
+            for a in _subparser(_build_parser(verb), verb)._actions
+            for s in a.option_strings if a.dest != "help"]
+
+
+# Values per option: mostly ones the option accepts, so that many argvs read
+# directly, plus ones its type or choices refuse.  --out only ever names an
+# existing directory, so a call that gets to write fails and creates nothing.
+_INTS = st.one_of(st.integers(-3, 3),
+                  st.sampled_from([10001, -10001, 2**70, -2**70])).map(str)
+_ODD_VALUES = st.sampled_from(["", "x", "1.5", "1:", "-", "--", "-1", "0x1"])
+_OPTION_VALUES = {
+    "--range": st.builds("{}:{}".format, st.integers(-2, 2), st.integers(-2, 2))
+    | st.sampled_from(["0:200", "-101:0"]),
+    "--format": st.sampled_from(["text", "svg", "pdf"]),
+    "--eps": st.sampled_from(["1", "-1", "2"]),
+    "--a": st.sampled_from(["lower", "dual", "x"]),
+    "--b": st.sampled_from(["lower", "dual", "x"]),
+    "--degree": st.sampled_from(["2", "3", "1025"]),
+}
+_OUT_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+@st.composite
+def cli_argvs(draw):
+    verb = draw(st.sampled_from(list(_VERBS)))
+    options = _verb_options(verb)
+    argv = [verb]
+    for _ in range(draw(st.integers(0, 7))):
+        name, flag = draw(st.sampled_from(options))
+        values = _OPTION_VALUES.get(name, _INTS)
+        value = (_OUT_DIR if name == "--out" else
+                 draw(values | _ODD_VALUES if draw(st.integers(0, 7)) == 0 else values))
+        if draw(st.integers(0, 7)):
+            argv += draw(st.sampled_from(
+                [[name]] if flag else [[f"{name}={value}"], [name, value]]))
+        else:  # a flag with =, a bare value option, or what no option reads
+            argv += draw(st.sampled_from([
+                [f"{name}={value}"], [name], ["--bogus=1"], ["--bogus"],
+                [name[:-1]], [f"{name[:-1]}={value}"], ["-h"], ["--help"],
+                ["-"], ["extra"], ["--"]]))
+    return argv
+
+
+def _main_outcome(argv):
+    """(exit code, stdout, stderr) of main(argv) with an empty stdin."""
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO("")
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCommonFormReader:
+    """The verb parser's own reader gives argparse's namespace or defers."""
+
+    @pytest.mark.parametrize("argv", COMMON_FORMS)
+    def test_common_forms_skip_argparse(self, monkeypatch, argv):
+        expected = _build_parser(argv[0]).parse_args(argv)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parsed a common form")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        assert lbkit.cli._parse(argv) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--i=0", "--j=2", "-h"],
+        ["classify", "--help"],
+        ["classify", "--i=0", "--j=2", "--clo"],
+        ["classify", "--i=0", "--j=2", "--closed="],
+        ["classify", "--i=0", "--j=2", "--closed=1"],
+        ["classify", "--i", "-2", "--j=0"],
+        ["classify", "--i=0"],
+        ["classify", "--i=0", "--j"],
+        ["classify", "--i=0", "--j=two"],
+        ["classify", "--i=0", "--j=2", "--bogus=1"],
+        ["classify", "--i=0", "--j=2", "--", "--closed"],
+        ["homology", "-"],
+        ["homology", "diagram.json"],
+        ["slide", "--p=1", "--q=5", "--a=lower", "--b=dual", "--eps=2"],
+        ["table", "--range=3:1"],
+        ["render", "--p=0", "--q=0", "--form=svg"],
+    ])
+    def test_other_forms_defer_to_argparse(self, argv):
+        sp = _subparser(_build_parser(argv[0]), argv[0])
+        assert sp.read(argv[1:], argv[0]) is None
+
+    @settings(max_examples=300)
+    @given(cli_argvs())
+    def test_reader_matches_argparse(self, argv):
+        verb = argv[0]
+        got = _subparser(_build_parser(verb), verb).read(argv[1:], verb)
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                expected = _build_parser(verb).parse_args(argv)
+        except SystemExit:
+            expected = None
+        assert got is None or got == (expected, [])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lbkit.cli._VerbParser, "read", lambda self, argv, verb: None)
+            through_argparse = _main_outcome(argv)
+        assert _main_outcome(argv) == through_argparse
+
+    def test_import_builds_no_parser_or_option_table(self):
+        # the option tables live on the verb parsers, so no parser means no table
+        code = ("import argparse\n"
+                "made = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def spy(self, *args, **kwargs):\n"
+                "    made.append(type(self).__name__)\n"
+                "    init(self, *args, **kwargs)\n"
+                "argparse.ArgumentParser.__init__ = spy\n"
+                "import lbkit.cli\n"
+                "print(made, lbkit.cli._build_parser.cache_info().currsize)\n"
+                "lbkit.cli._build_parser('classify')\n"
+                "print(made)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.stdout == "[] 0\n['ArgumentParser', '_VerbParser']\n", proc.stderr
 
 
 CLASSIFY_GRID = [(i, j) for i in range(-8, 9) for j in range(-8, 9)]
