@@ -5,10 +5,10 @@ for ``table``, plain text/SVG for ``render``).  Domain errors print an
 ``{"error": ...}`` object and exit 1, as do values past the ``MAX_*``
 bounds below and a failed ``--out`` write; usage errors exit 2 via
 argparse.  Each call uses the parser of its own verb only, built once
-per process.  It reads the common forms itself: ``--name=value``, ``--name
-value`` with a value not starting with ``-``, and an exact flag.  All else
-(``-h``, unknown or abbreviated options, positionals, a missing option, a
-failed type or choice, a flag with ``=``) goes through argparse unchanged.
+per process.  It reads the common forms itself: ``--name=value`` and an
+exact flag.  All else (``-h``, ``--name value``, unknown or abbreviated
+options, positionals, a missing option, a failed type or choice, a flag
+with ``=``) goes through argparse unchanged.
 
 Verbs that consume a diagram accept either a JSON file (``-`` for
 stdin) or ``--p``/``--q`` to build the standard family diagram inline.
@@ -303,14 +303,14 @@ class _VerbParser(argparse.ArgumentParser):
     def read(self, argv, verb):
         """``parse_known_args``'s result if ``argv`` is all common forms, else None."""
         options, defaults, required = self.table
-        values, rest = {}, iter(argv)
-        for arg in rest:
+        values = {}
+        for arg in argv:
             name, eq, value = arg.partition("=")
             if (action := options.get(name)) is None or action.nargs == 0 and eq:
                 return None
             if action.nargs == 0:
                 value = action.const
-            elif not eq and (value := next(rest, "-")).startswith("-"):
+            elif not eq:
                 return None
             else:
                 try:

@@ -131,6 +131,8 @@ def _require_trace(t) -> None:
 
 _Z2 = AbelianGroup(0, (2,))
 _NO_STEPS = empty_trace(_Z2)
+_STEP = HomotopyTrace(_Z2, (FingerMove((1,)), WhitneyMove((1,))),
+                      (Cycle(True, (1,), 2, 2),))
 _cached_order_two = lru_cache(maxsize=64)(AbelianGroup.elements_of_order_two)
 
 
@@ -142,8 +144,6 @@ def _order_two(group: AbelianGroup) -> tuple[tuple[int, ...], ...]:
     if group.arity << len(group.invariant_factors) > 1 << 16:
         return group.elements_of_order_two()
     return _cached_order_two(group)
-_STEP = HomotopyTrace(_Z2, (FingerMove((1,)), WhitneyMove((1,))),
-                      (Cycle(True, (1,), 2, 2),))
 
 
 def twist_homotopy(n: int) -> HomotopyTrace:

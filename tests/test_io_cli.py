@@ -1089,19 +1089,19 @@ MIXED_SEQUENCE = [
 
 
 # One argv per verb in the forms the verb parser reads without argparse:
-# --name=value, --name value (value not starting with -) and exact flags.
+# --name=value and exact flags.
 COMMON_FORMS = [
-    ["build", "--p=3", "--q", "2"],
+    ["build", "--p=3", "--q=2"],
     ["homology", "--q=1", "--p=1"],
-    ["boundary", "--p=1", "--q=0", "--out", "x.json"],
-    ["cover", "--p=3", "--q=2", "--degree", "4"],
-    ["double", "--p", "1", "--q=-1"],
-    ["slide", "--p=1", "--q=5", "--a=lower", "--b", "dual", "--eps=-1"],
-    ["classify", "--i", "3", "--j=5", "--closed", "--closed"],
-    ["table", "--closed", "--range", "0:2"],
+    ["boundary", "--p=1", "--q=0", "--out=x.json"],
+    ["cover", "--p=3", "--q=2", "--degree=4"],
+    ["double", "--p=1", "--q=-1"],
+    ["slide", "--p=1", "--q=5", "--a=lower", "--b=dual", "--eps=-1"],
+    ["classify", "--i=3", "--j=5", "--closed", "--closed"],
+    ["table", "--closed", "--range=0:2"],
     ["obstruct", "--i=2", "--j=0", "--closed"],
     ["homotopy-class", "--i=0", "--j=6", "--i=4"],
-    ["render", "--p=0", "--q=0", "--format", "svg"],
+    ["render", "--p=0", "--q=0", "--format=svg"],
 ]
 
 
@@ -1301,6 +1301,8 @@ class TestCommonFormReader:
         ["classify", "--i=0", "--j=2", "--closed="],
         ["classify", "--i=0", "--j=2", "--closed=1"],
         ["classify", "--i", "-2", "--j=0"],
+        ["classify", "--i", "3", "--j=5"],
+        ["render", "--p=0", "--q=0", "--format", "svg"],
         ["classify", "--i=0"],
         ["classify", "--i=0", "--j"],
         ["classify", "--i=0", "--j=two"],
