@@ -94,8 +94,9 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        _require_exact(int, (self.rows, self.cols), "matrix dimensions")
-        if self.rows < 0 or self.cols < 0:
+        if not (type(self.rows) is type(self.cols) is int
+                and self.rows >= 0 and self.cols >= 0):
+            _require_exact(int, (self.rows, self.cols), "matrix dimensions")
             raise ValueError("matrix dimensions must be non-negative")
         if len(self.entries) != self.rows:
             raise ValueError("row count does not match entry data")
@@ -233,11 +234,6 @@ def _eliminate(a, nrows, ncols):
     return a
 
 
-def _require_matrix(m) -> None:
-    if not isinstance(m, IntMatrix):
-        raise ValueError(f"expected an IntMatrix, not {type(m).__name__}")
-
-
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (d, u, v) with u * m * v = d in Smith normal form.
 
@@ -245,7 +241,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     entry divides the next.  They are read off one elimination of
     [[m, I], [I, 0]].
     """
-    _require_matrix(m)
+    if not isinstance(m, IntMatrix):
+        raise ValueError(f"expected an IntMatrix, not {type(m).__name__}")
     r, c = m.rows, m.cols
     a = [list(row) + [int(i == k) for k in range(r)] for i, row in enumerate(m.entries)]
     a += [[int(i == k) for k in range(c)] + [0] * r for i in range(c)]
@@ -262,7 +259,8 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
 
     The same elimination as ``smith_normal_form``, without the border.
     """
-    _require_matrix(m)
+    if not isinstance(m, IntMatrix):
+        raise ValueError(f"expected an IntMatrix, not {type(m).__name__}")
     a = [list(row) for row in m.entries]
     _eliminate(a, m.rows, m.cols)
     out = []
