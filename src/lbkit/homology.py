@@ -94,6 +94,7 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # exact-int dimensions, tested inline: every matrix built passes here
         if not (type(self.rows) is type(self.cols) is int
                 and self.rows >= 0 and self.cols >= 0):
             _require_exact(int, (self.rows, self.cols), "matrix dimensions")
