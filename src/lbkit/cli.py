@@ -301,7 +301,7 @@ class _VerbParser(argparse.ArgumentParser):
                 {a.dest for a in added if a.required})
 
     def read(self, argv, verb):
-        """``parse_known_args``'s result if ``argv`` is all common forms, else None."""
+        """``parse_args``'s namespace if ``argv`` is all common forms, else None."""
         options, defaults, required = self.table
         values = {}
         for arg in argv:
@@ -320,7 +320,7 @@ class _VerbParser(argparse.ArgumentParser):
                 if action.choices is not None and value not in action.choices:
                     return None
             values[action.dest] = value
-        return ((argparse.Namespace(verb=verb, **defaults | values), [])
+        return (argparse.Namespace(verb=verb, **defaults | values)
                 if required <= values.keys() else None)
 
 
@@ -346,18 +346,14 @@ def _build_parser(verb=None) -> argparse.ArgumentParser:
 
 
 def _parse(argv) -> argparse.Namespace:
-    # Use only the verb being run.  Anything else (no arguments, a
-    # leading option, an unknown verb) gets the full parser, so help and
-    # "invalid choice" errors still list every verb.
+    # The verb's reader takes the common forms; all else gets one full parse,
+    # by the parser of the verb alone when argv starts with one, else of every
+    # verb, so help and "invalid choice" errors still list every verb.
     verb = argv[0] if argv and argv[0] in _VERBS else None
     parser = _build_parser(verb)
     if verb is not None:
-        # A full parse hands all after the verb to the verb's own parser;
-        # call it directly, and in full only to report unknown arguments.
-        sp = parser.get_default("parser")
-        args, extra = sp.read(argv[1:], verb) or sp.parse_known_args(
-            argv[1:], argparse.Namespace(verb=verb))
-        if not extra:
+        args = parser.get_default("parser").read(argv[1:], verb)
+        if args is not None:
             return args
     return parser.parse_args(argv)
 
@@ -374,7 +370,3 @@ def main(argv=None) -> int:
     if not args.out:
         sys.stdout.write(text)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -3,7 +3,8 @@
 Smith normal form over the integers, presentation cokernels, and the
 2-torsion bookkeeping needed by the crossed-cycle calculus.  All
 arithmetic is done with Python integers, so there is no overflow and
-no tolerance anywhere in this module.
+no tolerance anywhere in this module.  A group lists its order-2 elements once
+and keeps them, as a braid word keeps its closure data, within two size bounds.
 
 One elimination serves both ``smith_normal_form`` and
 ``invariant_factors``.  Pivoting is deterministic: the pivot is the
@@ -33,7 +34,7 @@ display, so a derived record reads its fields as fast as a constructed one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import product
 from math import gcd
 
@@ -332,15 +333,26 @@ class AbelianGroup:
         return n
 
     def elements_of_order_two(self) -> tuple[tuple[int, ...], ...]:
-        """All elements of order exactly 2, in lexicographic order; refused
-        before they are built when 2**k (k even factors) passes MAX_TWO_TORSION."""
-        choices = [(0, d // 2) if d % 2 == 0 else (0,) for d in self.invariant_factors]
+        """All elements of order exactly 2, in lexicographic order, listed once and kept on
+        the group; refused before they are built past MAX_TWO_TORSION elements of order at
+        most 2 (2**k, k even factors) or 64 * MAX_TWO_TORSION coordinates ((2**k - 1) * arity)."""
+        return self._order_two
+
+    @cached_property
+    def _order_two(self) -> tuple[tuple[int, ...], ...]:
         k = sum(d % 2 == 0 for d in self.invariant_factors)
         if 1 << k > MAX_TWO_TORSION:
             raise ValueError(f"a group with {k} even invariant factors has 2**{k} elements of "
                              f"order at most 2, past {MAX_TWO_TORSION} (MAX_TWO_TORSION)")
-        tail = (0,) * self.free_rank
-        return tuple(sorted(combo + tail for combo in product(*choices) if any(combo)))
+        coordinates = ((1 << k) - 1) * self.arity
+        if coordinates > 64 * MAX_TWO_TORSION:
+            raise ValueError(f"a group with {k} even invariant factors and arity {self.arity} "
+                             f"lists {coordinates} coordinates of elements of order 2, past "
+                             f"{64 * MAX_TWO_TORSION} (64 * MAX_TWO_TORSION)")
+        choices = [(0, d // 2) if d % 2 == 0 else (0,) for d in self.invariant_factors]
+        # only nonzero combos get a tail: a group with no even factor builds none
+        return tuple(sorted(combo + (0,) * self.free_rank
+                            for combo in product(*choices) if any(combo)))
 
 
 def cokernel(m: IntMatrix) -> AbelianGroup:

@@ -19,13 +19,15 @@ from non-concordance.
 ``concat`` and ``crossed_class`` build their records unchecked
 (``_built``) from traces they first require to be ``HomotopyTrace``s,
 which their constructor has checked; the functions taking a trace refuse
-anything else with ``InvalidTrace``.
+anything else with ``InvalidTrace``.  A class's keys are the order-2 listing
+its group bounds, lists once and keeps (``AbelianGroup.elements_of_order_two``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
+from types import MappingProxyType
 
 from .covers import lift_wiring
 from .diagrams import DiagramError, Runs
@@ -133,17 +135,6 @@ _Z2 = AbelianGroup(0, (2,))
 _NO_STEPS = empty_trace(_Z2)
 _STEP = HomotopyTrace(_Z2, (FingerMove((1,)), WhitneyMove((1,))),
                       (Cycle(True, (1,), 2, 2),))
-_cached_order_two = lru_cache(maxsize=64)(AbelianGroup.elements_of_order_two)
-
-
-def _order_two(group: AbelianGroup) -> tuple[tuple[int, ...], ...]:
-    """The group's order-2 elements, memoized only when 2**factors * arity,
-    which bounds the listing's coordinates, is at most 2**16: so at most
-    2**12 elements and about 0.6 MB an entry.  Larger groups are listed per
-    call (one (2,) * 16 listing holds 11 MB)."""
-    if group.arity << len(group.invariant_factors) > 1 << 16:
-        return group.elements_of_order_two()
-    return _cached_order_two(group)
 
 
 def twist_homotopy(n: int) -> HomotopyTrace:
@@ -233,8 +224,7 @@ class CrossedClass:
                        "class elements and bits", InvalidTrace)
         parities = tuple(sorted((el, bit % 2) for el, bit in pairs))
         object.__setattr__(self, "parities", parities)
-        expected = _order_two(self.group)
-        if tuple(el for el, _ in parities) != expected:
+        if tuple(el for el, _ in parities) != self.group.elements_of_order_two():
             raise InvalidTrace(
                 "class keys must be exactly the order-2 elements of the group")
 
@@ -263,13 +253,13 @@ def crossed_class(t: HomotopyTrace) -> CrossedClass:
     additive, so each crossed cycle of a run is reduced once and counted
     as many times as the run repeats."""
     _require_trace(t)
-    counts = {el: 0 for el in _order_two(t.group)}
+    counts = {el: 0 for el in t.group.elements_of_order_two()}
     for block, n in t.cycles.runs:
         for c in block:
             el = t.group.reduce(c.element) if c.crossed else None
             if el in counts:
                 counts[el] += n
-    # the keys are _order_two(group), sorted; the exact-int counts reduce mod 2
+    # the keys are the group's order-2 listing, sorted; the exact-int counts reduce mod 2
     return _built(CrossedClass, t.group, tuple((el, n % 2) for el, n in counts.items()))
 
 
@@ -294,20 +284,26 @@ class Relation:
     Isotopic spheres are concordant and concordant spheres are
     homotopic; construction rejects data violating that chain.
     Equivalence (an ambient diffeomorphism taking one sphere pair to the
-    other) is independent of the chain.
+    other) is independent of the chain.  ``evidence`` is kept as a
+    read-only copy and left out of the hash.
     """
 
     equivalent: bool
     homotopic: bool
     topologically_concordant: bool
     smoothly_isotopic: bool
-    evidence: dict = field(default_factory=dict)
+    evidence: MappingProxyType[str, str] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "evidence", MappingProxyType(dict(self.evidence)))
         if self.smoothly_isotopic and not self.topologically_concordant:
             raise ValueError("isotopic spheres must be concordant")
         if self.topologically_concordant and not self.homotopic:
             raise ValueError("concordant spheres must be homotopic")
+
+    def __reduce__(self):  # rebuilt from a dict copy: a mappingproxy neither pickles nor copies
+        return Relation, (self.equivalent, self.homotopic, self.topologically_concordant,
+                          self.smoothly_isotopic, dict(self.evidence))
 
 
 def classify(i: int, j: int, closed: bool = False) -> Relation:

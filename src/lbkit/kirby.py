@@ -161,12 +161,9 @@ def euler_characteristic(d: KirbyDiagram) -> int:
     return 1 - len(d.dotted) + len(d.two_handles) - d.three_handles + d.four_handles
 
 
+# Every family link holds this word, so its cached closure data serves them
+# all: a braid component's kinks are its framing minus its cycle's self-writhe.
 _FAMILY_WORD = BraidWord(4, ((1, -1), (3, 1)))
-_FAMILY_CYCLES = _FAMILY_WORD.cycles()
-# Each cycle's word self-writhe, read off the word's letter sums: a braid
-# component's kinks are its framing minus its cycle's self-writhe.  Every
-# family link holds this word, so the word's one table serves them all.
-_FAMILY_WRITHES = tuple(map(_FAMILY_WORD._self_writhe, range(len(_FAMILY_CYCLES))))
 
 
 def _family_attaching(first: TwoHandle, second: TwoHandle,
@@ -181,8 +178,9 @@ def _family_attaching(first: TwoHandle, second: TwoHandle,
     """
     return _built(
         AnnularLink, _FAMILY_WORD,
-        tuple(_built(AnnularComponent, h.id, cycle, None, h.framing, 1, h.framing - writhe)
-              for h, cycle, writhe in zip((first, second), _FAMILY_CYCLES, _FAMILY_WRITHES)),
+        tuple(_built(AnnularComponent, h.id, cycle, None, h.framing, 1,
+                     h.framing - _FAMILY_WORD._self_writhe(k))
+              for k, (h, cycle) in enumerate(zip((first, second), _FAMILY_WORD.cycles()))),
         (_built(AnnularComponent, dual.id, frozenset(), PURPLE, dual.framing, 1,
                 dual.framing),))
 

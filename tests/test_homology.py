@@ -250,6 +250,26 @@ class TestAbelianGroup:
                 group.elements_of_order_two()
             with pytest.raises(ValueError, match="MAX_TWO_TORSION"):
                 torsion_order2(group)
+        # and so are their (2**k - 1) * arity coordinates, the free rank counted:
+        # up to 64 * MAX_TWO_TORSION = 2**22 are listed, one past is refused
+        for group, k in ((AbelianGroup(48, (2,) * 16), 16),
+                         (AbelianGroup((1 << 22) - 1, (2,)), 1)):
+            listing = group.elements_of_order_two()
+            assert len(listing) == (1 << k) - 1 and len(listing) * group.arity <= 1 << 22
+            assert listing[-1][:k] == (1,) * k and not any(listing[-1][k:])
+        del group, listing  # 32 MB
+        for group, k, arity in ((AbelianGroup(49, (2,) * 16), 16, 65),
+                                (AbelianGroup(1 << 22, (2,)), 1, (1 << 22) + 1),
+                                (AbelianGroup(10 ** 9, (2,)), 1, 10 ** 9 + 1)):
+            message = (f"a group with {k} even invariant factors and arity {arity} lists "
+                       f"{((1 << k) - 1) * arity} coordinates of elements of order 2, past "
+                       f"{1 << 22} (64 * MAX_TWO_TORSION)")
+            for call in (group.elements_of_order_two, lambda: torsion_order2(group)):
+                with pytest.raises(ValueError) as err:
+                    call()
+                assert str(err.value) == message
+        # the free rank alone lists nothing, so it is never refused
+        assert AbelianGroup(10 ** 9).elements_of_order_two() == ()
 
 
 class TestDiagramHomology:

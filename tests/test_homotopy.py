@@ -1,3 +1,7 @@
+import copy
+import gc
+import pickle
+import weakref
 from collections import Counter
 from dataclasses import is_dataclass
 
@@ -14,6 +18,7 @@ from lbkit.homotopy import (
     empty_trace, lightbulb_check, twist_homotopy,
 )
 from lbkit.obstruction import NotHomotopic
+from lbkit.serialize import relation_to_obj
 
 Z2 = AbelianGroup(0, (2,))
 Z4 = AbelianGroup(0, (4,))
@@ -250,17 +255,36 @@ class TestCrossedClass:
         # reduce folds representatives into the canonical range
         assert c.of((-2,)) == 1
 
-    def test_large_order_two_listings_are_not_memoized(self):
-        memo = homotopy._cached_order_two
-        for group, memoized in ((AbelianGroup(0, (2,) * 12), True),
-                                (AbelianGroup(0, (2,) * 13), False),
-                                (AbelianGroup(1 << 16, (2,)), False)):
-            memo.cache_clear()
+    def test_a_group_lists_its_order_two_elements_once(self):
+        for group in (Z2Z4, AbelianGroup(0, (2,) * 12), AbelianGroup(0, (2,) * 13),
+                      AbelianGroup(1 << 16, (2,))):
+            listing = group.elements_of_order_two()
+            assert group.elements_of_order_two() is listing
             c = crossed_class(empty_trace(group))
-            assert memo.cache_info().currsize == memoized, group
             assert c == reference_class(empty_trace(group))
-            assert c.is_zero and len(c.parities) == len(group.elements_of_order_two())
-        memo.cache_clear()
+            assert c.is_zero and len(c.parities) == len(listing)
+            assert all(el is key for el, (key, _) in zip(listing, c.parities))
+
+    def test_crossed_class_over_z2_builds_no_new_listing(self, monkeypatch):
+        listing = homotopy._Z2.elements_of_order_two()
+
+        def refuse(*args):
+            raise AssertionError("an order-2 listing was built again")
+
+        monkeypatch.setattr(homology, "product", refuse)
+        for k in range(4):
+            c = crossed_class(connecting_homotopy(0, 2 * k))
+            assert c.parities == ((listing[0], k % 2),) and c.parities[0][0] is listing[0]
+        assert classify(0, 4).smoothly_isotopic
+        assert homotopy._Z2.elements_of_order_two() is listing
+
+    def test_the_listing_goes_with_its_group(self):
+        group = AbelianGroup(0, (2,) * 8)
+        assert len(crossed_class(empty_trace(group)).parities) == (1 << 8) - 1
+        ref = weakref.ref(group)
+        del group
+        gc.collect()
+        assert ref() is None
 
 
 class TestLightbulb:
@@ -411,3 +435,38 @@ class TestClassifier:
             Relation(True, True, False, True)
         with pytest.raises(ValueError):
             Relation(True, False, True, False)
+
+    def test_equal_relations_hash_alike(self):
+        r = classify(0, 2)
+        assert hash(r) == hash(classify(0, 2)) and {r, classify(0, 2)} == {r}
+        assert hash(Relation(True, True, True, True, {"homotopic": "x"})) == \
+            hash(Relation(True, True, True, True))
+        assert Relation(True, True, True, True, {"homotopic": "x"}) != \
+            Relation(True, True, True, True)
+
+    def test_evidence_is_a_read_only_copy(self):
+        evidence = {"homotopic": "lift wirings agree"}
+        r = Relation(True, True, False, False, evidence)
+        evidence["homotopic"] = "x"
+        assert r.evidence == {"homotopic": "lift wirings agree"}
+        verdict = classify(0, 2)
+        with pytest.raises(TypeError):
+            verdict.evidence["homotopic"] = "x"
+        with pytest.raises(TypeError):
+            del verdict.evidence["homotopic"]
+        assert verdict == classify(0, 2)
+        assert relation_to_obj(verdict) == {
+            "equivalent": True, "homotopic": True,
+            "topologically_concordant": False, "smoothly_isotopic": False,
+            "evidence": {
+                "equivalent": "common dual sphere and equal squares yield an "
+                              "ambient diffeomorphism of pairs",
+                "homotopic": "lift wirings agree",
+                "topologically_concordant": "boundary-link linking parity 1",
+                "smoothly_isotopic": "not concordant"}}
+        assert type(relation_to_obj(verdict)["evidence"]) is dict
+        for copied in (pickle.loads(pickle.dumps(verdict)), copy.deepcopy(verdict),
+                       copy.copy(verdict)):
+            assert copied == verdict and relation_to_obj(copied) == relation_to_obj(verdict)
+            with pytest.raises(TypeError):
+                copied.evidence["homotopic"] = "x"

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lbkit.cli
+from lbkit import diagrams, homology
 from lbkit.cli import (
     MAX_COVER_DEGREE, MAX_TABLE_TWIST, MAX_TWIST, _VERBS, _build_parser, main,
 )
@@ -486,6 +488,21 @@ class TestCliBounds:
         assert json.loads(out)["error"] == \
             f"--degree must be at most {MAX_COVER_DEGREE}, " \
             f"got {MAX_COVER_DEGREE + 1}"
+
+    @pytest.mark.parametrize("module", [lbkit.cli, diagrams, homology])
+    def test_readme_bounds_table_shows_every_bound(self, module):
+        # each MAX_* constant has one row of the README's bounds table that
+        # names it and shows its value, plain (10000) or grouped (4,194,304)
+        with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
+            rows = [line for line in f.read().splitlines() if line.startswith("|")]
+        bounds = {name: value for name, value in vars(module).items()
+                  if name.startswith("MAX_")}
+        assert bounds
+        for name, value in bounds.items():
+            named = [row for row in rows if row.endswith(f"| `{name}` |")]
+            assert len(named) == 1, name
+            numbers = re.findall(r"\d[\d,]*", named[0])
+            assert str(value) in numbers or f"{value:,}" in numbers, (name, named[0])
 
 
 def _set(path, value):
@@ -1328,7 +1345,7 @@ class TestCommonFormReader:
                 expected = _build_parser(verb).parse_args(argv)
         except SystemExit:
             expected = None
-        assert got is None or got == (expected, [])
+        assert got is None or got == expected
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lbkit.cli._VerbParser, "read", lambda self, argv, verb: None)
             through_argparse = _main_outcome(argv)

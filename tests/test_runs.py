@@ -439,7 +439,8 @@ def test_huge_twist_counts_stay_small_in_memory():
 # permutes three positions of a word past sys.maxsize by its runs, and the
 # obstruction's terms neither hash nor expand a word.  A braid word past
 # MAX_STRANDS is refused as it is built, and a group's order-2 elements past
-# MAX_TWO_TORSION before they are listed.
+# MAX_TWO_TORSION, or their coordinates past 64 * MAX_TWO_TORSION, before they
+# are listed; a group with no even factor lists none, whatever its free rank.
 BOUNDS_PROBE = """
 import json, resource, tracemalloc
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
@@ -497,6 +498,10 @@ print(json.dumps({
     "many_strands": measured(lambda: BraidWord(10 ** 9).power(2)),
     "order_two": measured(lambda: AbelianGroup(0, (2,) * 30).elements_of_order_two()),
     "crossed_class": measured(lambda: crossed_class(empty_trace(AbelianGroup(0, (2,) * 24)))),
+    "order_two_free_rank": measured(lambda: AbelianGroup(10 ** 9, (2,)).elements_of_order_two()),
+    "crossed_class_free_rank": measured(
+        lambda: crossed_class(empty_trace(AbelianGroup(1 << 22, (2,))))),
+    "no_even_factor": measured(lambda: AbelianGroup(10 ** 9).elements_of_order_two()),
 }))
 """
 
@@ -526,6 +531,12 @@ def test_library_bounds_and_run_paths_stay_small_in_memory():
         assert out[name][0] == ["ValueError", f"a group with {k} even invariant factors has "
                                 f"2**{k} elements of order at most 2, past {1 << 16} "
                                 "(MAX_TWO_TORSION)"]
+    for name, arity in (("order_two_free_rank", 10 ** 9 + 1),
+                        ("crossed_class_free_rank", (1 << 22) + 1)):
+        assert out[name][0] == ["ValueError", f"a group with 1 even invariant factors and "
+                                f"arity {arity} lists {arity} coordinates of elements of "
+                                f"order 2, past {1 << 22} (64 * MAX_TWO_TORSION)"]
+    assert out["no_even_factor"][0] == []
     for name, (_, peak) in out.items():
         assert peak < 1 << 20, (name, peak)
 
